@@ -905,7 +905,7 @@ impl AdmissionEngine {
                         })
                     })
                     .collect();
-                let computed = gps_par::par_map(&todo, |&j| self.compute_gstar(j));
+                let computed = gps_par::Pool::from_env().map(&todo, |_, &j| self.compute_gstar(j));
                 for (&j, g) in todo.iter().zip(computed) {
                     self.cache.insert(
                         CertKey {
@@ -975,7 +975,8 @@ impl AdmissionEngine {
         if todo.is_empty() {
             return;
         }
-        let computed = gps_par::par_map(todo, |&(j, g)| self.compute_certificate(j, g, None));
+        let computed =
+            gps_par::Pool::from_env().map(todo, |_, &(j, g)| self.compute_certificate(j, g, None));
         for (&(j, g), value) in todo.iter().zip(computed) {
             if let Some((bound, seed)) = value {
                 self.cache.insert(

@@ -121,7 +121,7 @@ impl RppsNetworkBounds {
     /// fanned out over the `gps_par` pool; results in session order.
     pub fn paper_fig3_bounds_all(&self) -> Vec<(TailBound, TailBound)> {
         let idx: Vec<usize> = (0..self.sessions.len()).collect();
-        gps_par::par_map(&idx, |&i| self.paper_fig3_bounds(i))
+        gps_par::Pool::from_env().map(&idx, |_, &i| self.paper_fig3_bounds(i))
     }
 
     /// [`backlog_bound`](Self::backlog_bound) and
@@ -130,7 +130,7 @@ impl RppsNetworkBounds {
     /// over the `gps_par` pool; results in session order.
     pub fn bounds_all(&self, model: TimeModel) -> Vec<(TailBound, TailBound)> {
         let idx: Vec<usize> = (0..self.sessions.len()).collect();
-        gps_par::par_map(&idx, |&i| {
+        gps_par::Pool::from_env().map(&idx, |_, &i| {
             (self.backlog_bound(i, model), self.delay_bound(i, model))
         })
     }

@@ -213,14 +213,14 @@ impl Theorem7 {
     /// session order regardless of worker count.
     pub fn best_backlog_all(&self, q: f64) -> Vec<Option<TailBound>> {
         let idx: Vec<usize> = (0..self.num_sessions()).collect();
-        gps_par::par_map(&idx, |&i| self.best_backlog(i, q))
+        gps_par::Pool::from_env().map(&idx, |_, &i| self.best_backlog(i, q))
     }
 
     /// [`best_delay`](Self::best_delay) for every session, fanned out over
     /// the `gps_par` pool; results in session order.
     pub fn best_delay_all(&self, d: f64) -> Vec<Option<TailBound>> {
         let idx: Vec<usize> = (0..self.num_sessions()).collect();
-        gps_par::par_map(&idx, |&i| self.best_delay(i, d))
+        gps_par::Pool::from_env().map(&idx, |_, &i| self.best_delay(i, d))
     }
 }
 
@@ -340,14 +340,14 @@ impl Theorem8 {
     /// the `gps_par` pool; results in session order.
     pub fn best_backlog_all(&self, q: f64) -> Vec<Option<TailBound>> {
         let idx: Vec<usize> = (0..self.num_sessions()).collect();
-        gps_par::par_map(&idx, |&i| self.best_backlog(i, q))
+        gps_par::Pool::from_env().map(&idx, |_, &i| self.best_backlog(i, q))
     }
 
     /// [`best_delay`](Self::best_delay) for every session, fanned out over
     /// the `gps_par` pool; results in session order.
     pub fn best_delay_all(&self, d: f64) -> Vec<Option<TailBound>> {
         let idx: Vec<usize> = (0..self.num_sessions()).collect();
-        gps_par::par_map(&idx, |&i| self.best_delay(i, d))
+        gps_par::Pool::from_env().map(&idx, |_, &i| self.best_delay(i, d))
     }
 }
 

@@ -1,8 +1,7 @@
 //! Serial-vs-parallel wall time for the chunked campaign engine.
 //!
-//! Runs the same replication campaigns through
-//! `run_single_node_campaign_threads` / `run_network_campaign_threads`
-//! at 1, 2, 4, and 8 workers (explicit thread counts, independent of
+//! Runs the same single-node and network replication campaigns through
+//! the `Campaign` funnel at 1, 2, 4, and 8 workers (explicit thread counts, independent of
 //! `GPS_PAR_THREADS`), so the JSON report pins both the serial baseline
 //! and the parallel speedup on the current host. A final group times the
 //! memory-bounded merged campaign on a million-replication configuration
@@ -16,10 +15,9 @@
 
 use gps_bench::harness::{black_box, BenchHarness};
 use gps_core::NetworkTopology;
-use gps_sim::runner::{
-    run_network_campaign_threads, run_single_node_campaign_merged_threads,
-    run_single_node_campaign_threads, NetworkRunConfig, SingleNodeRunConfig,
-};
+use gps_par::Pool;
+use gps_sim::campaign::Campaign;
+use gps_sim::runner::{NetworkRunConfig, SingleNodeRunConfig};
 use gps_sources::{OnOffSource, SlotSource};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -48,12 +46,12 @@ fn bench_single_node(h: &mut BenchHarness) {
             &format!("single_node_campaign/8x20k_{threads}thread"),
             slots,
             || {
-                black_box(run_single_node_campaign_threads(
-                    threads,
-                    &base,
-                    replications,
-                    |_r| make_sources(),
-                ))
+                black_box(
+                    Campaign::new(Pool::new(threads), replications)
+                        .run(&base, |_r| make_sources())
+                        .expect("unsupervised campaign")
+                        .into_reports(),
+                )
             },
         );
     }
@@ -75,12 +73,12 @@ fn bench_network(h: &mut BenchHarness) {
             &format!("network_campaign/fig2_8x10k_{threads}thread"),
             slots,
             || {
-                black_box(run_network_campaign_threads(
-                    threads,
-                    &base,
-                    replications,
-                    |_r| make_sources(),
-                ))
+                black_box(
+                    Campaign::new(Pool::new(threads), replications)
+                        .run(&base, |_r| make_sources())
+                        .expect("unsupervised campaign")
+                        .into_reports(),
+                )
             },
         );
     }
@@ -103,18 +101,19 @@ fn bench_million(h: &mut BenchHarness) {
         delay_grid: (0..8).map(|i| i as f64).collect(),
     };
     let slots = replications * base.measure;
-    for threads in [1usize, gps_par::max_threads().max(2)] {
+    for threads in [1usize, Pool::from_env().threads.max(2)] {
         h.bench_elems(
             &format!("merged_campaign/1e6x10_{threads}thread"),
             slots,
             || {
-                black_box(run_single_node_campaign_merged_threads(
-                    threads,
-                    None,
-                    &base,
-                    replications,
-                    |_r| make_sources(),
-                ))
+                black_box(
+                    Campaign::new(Pool::new(threads), replications)
+                        .merged()
+                        .run(&base, |_r| make_sources())
+                        .expect("unsupervised campaign")
+                        .merged
+                        .expect("merged fold"),
+                )
             },
         );
     }

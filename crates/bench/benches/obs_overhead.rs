@@ -31,7 +31,9 @@
 use gps_bench::harness::{black_box, BenchHarness};
 use gps_obs::journal::SinkKind;
 use gps_obs::{Exporter, Level, ObsConfig, SloSpec, TelemetryConfig};
-use gps_sim::runner::{run_single_node_campaign_threads, SingleNodeRunConfig};
+use gps_par::Pool;
+use gps_sim::campaign::Campaign;
+use gps_sim::runner::SingleNodeRunConfig;
 use gps_sim::{SlotOutput, SlottedGps};
 use gps_sources::{OnOffSource, SlotSource};
 use gps_stats::rng::SeedSequence;
@@ -60,7 +62,7 @@ fn make_sources() -> Vec<Box<dyn SlotSource>> {
 
 /// The campaign's per-replication work with every `gps_obs` call site
 /// stripped: same seeding, same simulation steps, same CCDF folds as
-/// `run_single_node_core`, so any timing difference against the real
+/// `run_single_node_core_scratch`, so any timing difference against the real
 /// runner is observability overhead, not workload drift.
 fn uninstrumented_replication(config: &SingleNodeRunConfig) -> (Vec<BinnedCcdf>, f64) {
     let n = config.phis.len();
@@ -109,12 +111,12 @@ fn uninstrumented_replication(config: &SingleNodeRunConfig) -> (Vec<BinnedCcdf>,
 }
 
 fn run_campaign(base: &SingleNodeRunConfig) {
-    black_box(run_single_node_campaign_threads(
-        1,
-        base,
-        REPLICATIONS,
-        |_r| make_sources(),
-    ));
+    black_box(
+        Campaign::new(Pool::new(1), REPLICATIONS)
+            .run(base, |_r| make_sources())
+            .expect("unsupervised campaign")
+            .into_reports(),
+    );
 }
 
 fn main() {

@@ -113,7 +113,7 @@ impl DeltaTailBound {
     /// per-session bounds, the ξ optimizations fanned out over the
     /// `gps_par` pool; results in input order regardless of worker count.
     pub fn continuous_optimal_batch(bounds: &[DeltaTailBound]) -> Vec<TailBound> {
-        gps_par::par_map(bounds, |b| b.continuous_optimal())
+        gps_par::Pool::from_env().map(bounds, |_, b| b.continuous_optimal())
     }
 }
 

@@ -24,7 +24,7 @@
 //! `δ_i(t) = sup_{s<=t} {A_i(s,t) - r_i (t-s)}` is bounded two ways:
 //!
 //! * in tail form ([`delta::DeltaTailBound`], paper Lemma 5),
-//! * in MGF form `E e^{θ δ_i(t)}` ([`mgf::delta_mgf_bound`], paper Lemma 6),
+//! * in MGF form `E e^{θ δ_i(t)}` ([`mgf::delta_mgf_log`], paper Lemma 6),
 //!   built on the arrival-MGF envelope `E e^{θ A(τ,t)} <=
 //!   e^{θ(ρ (t-τ) + σ̂(θ))}` with `σ̂(θ) = ln(1 + θΛ/(α-θ))/θ` (paper
 //!   Eq. 19).

@@ -55,11 +55,11 @@ fn main() {
 
     // Per-session θ optimizations fan out over the gps_par pool: the
     // Theorem-7/8 optimizers via their *_all batch helpers, the paper/
-    // uniform-exponent scans via par_map. Printing stays serial below.
+    // uniform-exponent scans on the pool. Printing stays serial below.
     let b7_all = t7.best_backlog_all(q);
     let b8_all = t8.best_backlog_all(q);
     let idx: Vec<usize> = (0..4).collect();
-    let scans = gps_par::par_map(&idx, |&i| {
+    let scans = gps_par::Pool::from_env().map(&idx, |_, &i| {
         let b8 = b8_all[i].expect("feasible").tail(q);
         // Paper form with optimized θ.
         let sup8 = t8.theta_sup(i);

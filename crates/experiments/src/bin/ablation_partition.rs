@@ -71,7 +71,7 @@ fn main() {
         .collect();
     // The bound depends only on the *set* of predecessors in the
     // ordering, so each evaluation takes the prefix implied by `perm`.
-    let tails = gps_par::par_map(&pairs, |&(i, k)| {
+    let tails = gps_par::Pool::from_env().map(&pairs, |_, &(i, k)| {
         let perm = &orderings[k];
         let pos = perm.iter().position(|&j| j == i).unwrap();
         manual_theorem7_tail(&sessions, &assignment, &rates, perm, pos, q, model)

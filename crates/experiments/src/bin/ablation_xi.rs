@@ -41,7 +41,7 @@ fn main() {
     // over the gps_par pool; printing/CSV writing stays serial below.
     let idx: Vec<usize> = (0..4).collect();
     let steps = 200usize;
-    let per_session = gps_par::par_map(&idx, |&i| {
+    let per_session = gps_par::Pool::from_env().map(&idx, |_, &i| {
         let g = rhos[i] / total;
         let d = DeltaTailBound::new(sessions[i], g);
         let xi_max = d.xi_max();

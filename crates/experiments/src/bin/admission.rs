@@ -48,7 +48,7 @@ fn main() {
     // (independent derived seeds); printed serially in length order.
     let seeds = SeedSequence::new(0xAD01);
     let lens = [10_000usize, 100_000, 1_000_000];
-    let sigma_rows: Vec<(usize, f64)> = gps_par::par_map_indexed(&lens, |k, &len| {
+    let sigma_rows: Vec<(usize, f64)> = gps_par::Pool::from_env().map(&lens, |k, &len| {
         let mut s = src.clone();
         let mut rng = seeds.rng("trace", k as u64);
         s.reset(&mut rng);

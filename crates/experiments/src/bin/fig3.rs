@@ -23,7 +23,7 @@ fn main() {
         .into_iter()
         .flat_map(|set| (0..4).map(move |i| (set, i)))
         .collect();
-    let computed = gps_par::par_map(&items, |&(set, i)| {
+    let computed = gps_par::Pool::from_env().map(&items, |_, &(set, i)| {
         let sessions = characterize(set).to_vec();
         let net = figure2_network(set);
         let bounds = RppsNetworkBounds::new(&net, sessions).expect("stable");

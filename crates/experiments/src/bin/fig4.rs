@@ -43,7 +43,7 @@ fn main() {
     // Per-session LNT94 optimizations + Fig. 3 forms in parallel on the
     // gps_par pool; printed and written serially, in session order.
     let idx: Vec<usize> = (0..4).collect();
-    let per_session = gps_par::par_map(&idx, |&i| {
+    let per_session = gps_par::Pool::from_env().map(&idx, |_, &i| {
         let g = bounds.g_net(i);
         let delta = queue_tail_bound(sources[i].as_markov(), g).expect("g within (mean, peak)");
         let (_, improved) = bounds.with_delta_bound(i, delta);

@@ -9,7 +9,9 @@
 
 use gps_experiments::{init_obs, serve_addr_from_args};
 use gps_obs::exporter::http_get;
-use gps_sim::runner::{run_single_node_campaign, SingleNodeRunConfig};
+use gps_par::Pool;
+use gps_sim::campaign::Campaign;
+use gps_sim::runner::SingleNodeRunConfig;
 use gps_sources::{OnOffSource, SlotSource};
 
 fn check(name: &str, ok: bool, detail: &str) -> bool {
@@ -302,7 +304,10 @@ fn main() {
             .map(|s| Box::new(s) as Box<dyn SlotSource>)
             .collect()
     };
-    let reports = run_single_node_campaign(&cfg, 2, mk);
+    let reports = Campaign::new(Pool::from_env(), 2)
+        .run(&cfg, mk)
+        .expect("unsupervised campaign")
+        .into_reports();
     assert_eq!(reports.len(), 2);
 
     let mut ok = true;

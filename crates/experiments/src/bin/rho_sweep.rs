@@ -21,7 +21,8 @@ fn main() {
     // Per-session sweeps fanned out over the gps_par pool; printed and
     // written serially afterwards, in session order.
     let sources = table1_sources();
-    let tradeoffs = gps_par::par_map(&sources, |src| rho_tradeoff(src.as_markov(), 24));
+    let tradeoffs =
+        gps_par::Pool::from_env().map(&sources, |_, src| rho_tradeoff(src.as_markov(), 24));
     for (i, (src, pts)) in sources.iter().zip(&tradeoffs).enumerate() {
         println!(
             "\nsession {} (mean {:.3}, peak {:.3}):",

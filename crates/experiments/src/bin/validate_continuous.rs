@@ -122,7 +122,7 @@ fn main() {
         ],
     );
     let reps: Vec<u64> = (0..replications).collect();
-    let results = gps_par::par_map(&reps, |&r| {
+    let results = gps_par::Pool::from_env().map(&reps, |_, &r| {
         simulate_ct(&sources, &rhos, 0xC047 + r, horizon, sample_dt, 1000.0)
     });
     // Online monitor against the direct CT martingale bound — the

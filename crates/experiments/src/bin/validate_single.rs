@@ -30,8 +30,10 @@ use gps_experiments::paper::{characterize, table1_sources, ParamSet};
 use gps_experiments::plot::{ascii_log_plot, Curve};
 use gps_experiments::{checkpoint_path, finish_obs, init_obs, measure_slots_or, resume_flag};
 use gps_obs::{BoundCurve, BoundMonitor, RunManifest, SessionCurves};
+use gps_par::Pool;
+use gps_sim::campaign::Campaign;
 use gps_sim::runner::{merge_single_node_reports, SingleNodeRunConfig};
-use gps_sim::supervise::{run_supervised_single_node_campaign, PanicInjection, Supervisor};
+use gps_sim::supervise::{PanicInjection, Supervisor};
 use gps_sources::lnt94::queue_tail_bound;
 use gps_sources::SlotSource;
 use gps_stats::ExponentialTailFit;
@@ -84,19 +86,16 @@ fn main() {
         .with_checkpoint(checkpoint_path("validate_single"))
         .with_resume(resume_flag())
         .with_inject(PanicInjection::from_env());
-    let outcome = run_supervised_single_node_campaign(
-        &cfg,
-        replications,
-        |_r| {
+    let outcome = Campaign::new(Pool::from_env(), replications)
+        .supervisor(&supervisor)
+        .monitor(&monitor)
+        .run(&cfg, |_r| {
             table1_sources()
                 .into_iter()
                 .map(|s| Box::new(s) as Box<dyn SlotSource>)
                 .collect::<Vec<Box<dyn SlotSource>>>()
-        },
-        &supervisor,
-        Some(&monitor),
-    )
-    .expect("supervised campaign");
+        })
+        .expect("supervised campaign");
     println!(
         "supervision: {} of {} replications restored from checkpoint, {} quarantined{}",
         outcome.restored,

@@ -71,7 +71,7 @@ impl AttackSpec {
 pub struct CampaignScenario {
     /// Scenario name (the wire identifier).
     pub name: &'static str,
-    /// The campaign config; `fingerprint_single_node(&cfg)` is what the
+    /// The campaign config; `cfg.fingerprint()` (`gps_sim::campaign::Replication`) is what the
     /// coordinator's leases advertise.
     pub cfg: SingleNodeRunConfig,
     /// Builds the (fresh) sources for one replication.
@@ -302,7 +302,7 @@ pub fn resolve(name: &str) -> Option<CampaignScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_sim::supervise::fingerprint_single_node;
+    use gps_sim::campaign::Replication;
 
     #[test]
     fn both_scenarios_resolve_and_unknown_does_not() {
@@ -312,10 +312,7 @@ mod tests {
             assert_eq!(s.bounds.len(), s.cfg.phis.len());
             // Resolution is deterministic: same name, same fingerprint.
             let again = resolve(name).unwrap();
-            assert_eq!(
-                fingerprint_single_node(&s.cfg),
-                fingerprint_single_node(&again.cfg)
-            );
+            assert_eq!(s.cfg.fingerprint(), again.cfg.fingerprint());
         }
         assert!(resolve("no-such-scenario").is_none());
     }

@@ -8,10 +8,10 @@
 //!   NDJSON to a runtime-selectable sink ([`journal::Sink::Noop`] /
 //!   `Stderr` / `File`). The default is `Noop`: silent and
 //!   allocation-free, so library code can emit unconditionally.
-//! * [`metrics`] — counters, gauges, histograms, and quantile summaries
+//! * [`metrics`](mod@metrics) — counters, gauges, histograms, and quantile summaries
 //!   (aggregation math reused from `gps_stats`), snapshotted to
 //!   deterministic JSON reports (`results/*_metrics.json`).
-//! * [`span`] — RAII wall-clock timers with hierarchical `/`-separated
+//! * [`span`](mod@span) — RAII wall-clock timers with hierarchical `/`-separated
 //!   labels for the hot paths (θ/ξ optimization, Perron iteration, the
 //!   simulator event loops), folded into the same registry.
 //!

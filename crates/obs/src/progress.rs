@@ -6,7 +6,7 @@
 //! slot loop) — so it is always on; there is no knob. The *served* JSON
 //! includes wall-clock-derived fields (elapsed, throughput, ETA), which
 //! is fine because `/progress` is a live surface, not a results
-//! artifact. The gauge mirror ([`publish_gauges`]) is timing-gated by
+//! artifact. The gauge mirror ([`publish_gauges`](Progress::publish_gauges)) is timing-gated by
 //! the caller for the same reason the pool's `par.pool.workers` gauge
 //! is: final gauge values for done/total are deterministic, but the
 //! restored/retried counts differ between a straight-through and a

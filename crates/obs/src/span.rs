@@ -1,8 +1,7 @@
 //! Scoped wall-clock span timing with hierarchical labels.
 //!
 //! A [`Span`] is an RAII guard: created at the top of a hot path, it
-//! records its wall-clock duration into a [`Registry`](crate::metrics::Registry)
-//! when dropped. Nested spans compose their labels into a `/`-separated
+//! records its wall-clock duration into a [`Registry`] when dropped. Nested spans compose their labels into a `/`-separated
 //! path through a thread-local stack, so `run_single_node` containing a
 //! `measure` phase records under `sim.single_node/measure`.
 //!
@@ -21,7 +20,7 @@ thread_local! {
 }
 
 /// An in-flight timed span. Create via [`Span::enter`] (or the
-/// [`crate::span`] shorthand against the global hub); the measurement is
+/// [`crate::span()`] shorthand against the global hub); the measurement is
 /// recorded on drop.
 #[derive(Debug)]
 pub struct Span {

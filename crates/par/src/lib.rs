@@ -9,17 +9,29 @@
 //! one thing on top of `std::thread::scope`:
 //!
 //! > **Results are collected in submission order, regardless of worker
-//! > count or scheduling.** `par_map` with `k` threads returns the same
-//! > `Vec` as a serial `map`, element for element.
+//! > count or scheduling.** [`Pool::map`] with `k` threads returns the
+//! > same `Vec` as a serial `map`, element for element.
 //!
 //! Because each task's output is a pure function of its input, a campaign
-//! built on [`par_map`] produces byte-identical CSVs, metrics snapshots,
+//! built on a [`Pool`] produces byte-identical CSVs, metrics snapshots,
 //! and golden tables whether it runs on 1 thread or 64 — determinism is
 //! the contract, speedup is the side effect.
 //!
-//! # Worker count
+//! # The pool
 //!
-//! [`max_threads`] reads `GPS_PAR_THREADS`:
+//! A [`Pool`] is a plain value — `{ threads, chunk }` — with three
+//! methods, all draining through one chunked range engine:
+//!
+//! * [`Pool::map`] — `f(index, item)` over a slice;
+//! * [`Pool::map_with`] — the same with per-worker scratch state: `init`
+//!   runs once per worker per fork-join, and the value it builds is
+//!   reused across every chunk that worker drains, so expensive per-task
+//!   setup (simulator state, output buffers) amortizes to once per
+//!   worker;
+//! * [`Pool::try_map`] — the supervised variant of `map_with` (see
+//!   *Supervision* below).
+//!
+//! [`Pool::from_env`] reads `GPS_PAR_THREADS`:
 //!
 //! * unset or `0` — `std::thread::available_parallelism()`;
 //! * `1` — exact serial fallback *through the same code path* (a single
@@ -29,15 +41,13 @@
 //! # Task granularity (chunking)
 //!
 //! Workers pull *chunks* of consecutive indices from a shared atomic
-//! cursor, not single indices: with `R` tasks on `w` workers the default
-//! chunk is `max(1, R / (w * DEFAULT_CHUNKS_PER_WORKER))`, overridable
-//! via the `GPS_PAR_CHUNK` environment variable or the `_chunked_`
-//! API variants. Chunking amortizes the cursor fetch, the per-result
-//! collection lock (one push of a whole batch per chunk instead of one
-//! per task), and — through the `scratch` variants — per-task setup:
-//! [`par_map_indexed_scratch_threads`] hands every worker a private
-//! scratch value built once per fork-join and reused across all chunks
-//! it drains.
+//! cursor, not single indices. An explicit [`Pool::chunk`] is used as
+//! given; `None` defers to the `GPS_PAR_CHUNK` environment variable and
+//! then to `max(1, n / (workers * DEFAULT_CHUNKS_PER_WORKER))` for `n`
+//! tasks on `workers` workers ([`Pool::chunk_for`]). Chunking amortizes
+//! the cursor fetch, the per-result collection lock (one push of a whole
+//! batch per chunk instead of one per task), and — through `map_with`
+//! scratch — per-task setup.
 //!
 //! Chunking is *never* load-bearing for correctness: each task's output
 //! is still placed by its submission index, so any chunk size (and any
@@ -46,19 +56,17 @@
 //!
 //! # Panics
 //!
-//! A panicking task does not deadlock the pool: the panic payload is
-//! captured at `join` and re-raised on the caller thread
+//! A panicking `map` / `map_with` task does not deadlock the pool: the
+//! panic payload is captured at `join` and re-raised on the caller thread
 //! ([`std::panic::resume_unwind`]), after all other workers finished.
 //!
 //! # Supervision
 //!
 //! The fail-fast behavior above is right for programming errors but wrong
 //! for long measurement campaigns, where one poisoned task would discard
-//! millions of healthy replications. The fallible variants —
-//! [`par_try_map`], [`par_try_map_indexed`], and the retrying
-//! [`par_try_map_indexed_retry`] — catch each task's panic with
-//! [`std::panic::catch_unwind`] and return a [`TaskOutcome`] per index
-//! instead of aborting the join:
+//! millions of healthy replications. [`Pool::try_map`] catches each
+//! task's panic with [`std::panic::catch_unwind`] and returns a
+//! [`TaskReport`] per index instead of aborting the join:
 //!
 //! * `TaskOutcome::Ok(r)` — the task produced a value (possibly after
 //!   retries);
@@ -68,6 +76,16 @@
 //! * `TaskOutcome::Panicked(msg)` — the task panicked on every permitted
 //!   attempt and is *quarantined*: the slot keeps the final panic message
 //!   and the caller decides what to do with the hole.
+//!
+//! A panic can leave the worker's scratch half-updated, so after every
+//! caught panic `try_map` rebuilds that worker's scratch with `init()`
+//! before the retry (or before the next task, after a quarantine). The
+//! retried task therefore sees the same fresh state as a first attempt.
+//!
+//! Supervision stays per *task*, not per chunk: each index inside a chunk
+//! is independently caught, retried, and (if exhausted) quarantined, so
+//! chunked supervised campaigns retry and quarantine identically to
+//! per-task ones.
 //!
 //! The [`RetryPolicy`] is deterministic by construction: a fixed attempt
 //! budget, the attempt number passed to the task (so it can re-derive any
@@ -105,22 +123,6 @@ use std::time::Instant;
 /// the collection lock over many tasks.
 pub const DEFAULT_CHUNKS_PER_WORKER: usize = 4;
 
-/// Resolves the chunk size for a fork-join of `n` tasks on `workers`
-/// workers: the `GPS_PAR_CHUNK` environment variable if set to a positive
-/// integer, else `max(1, n / (workers * DEFAULT_CHUNKS_PER_WORKER))`.
-/// Chunk size never affects results (see the crate docs), only how much
-/// per-task overhead gets amortized.
-pub fn chunk_size(n: usize, workers: usize) -> usize {
-    match std::env::var("GPS_PAR_CHUNK")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&c| c > 0)
-    {
-        Some(c) => c,
-        None => (n / (workers.max(1) * DEFAULT_CHUNKS_PER_WORKER)).max(1),
-    }
-}
-
 /// A 64-byte-aligned wrapper that gives a per-chunk fold accumulator its
 /// own cache line(s), so partial results accumulated by different workers
 /// never false-share while the fold is hot. Campaign folds wrap their
@@ -130,180 +132,154 @@ pub fn chunk_size(n: usize, workers: usize) -> usize {
 #[repr(align(64))]
 pub struct CacheAligned<T>(pub T);
 
-/// Resolves the worker count from the `GPS_PAR_THREADS` environment
-/// variable (see the crate docs for the convention). Always at least 1.
-pub fn max_threads() -> usize {
-    match std::env::var("GPS_PAR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
+/// A fork-join pool: at most `threads` workers claiming `chunk`
+/// consecutive indices at a time (see the crate docs). A `Pool` is a
+/// plain value — workers are scoped threads spawned per fork-join — so
+/// it is free to copy, compare, and store in a campaign spec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pool {
+    /// Maximum worker count (clamped to `1..=n` per fork-join of `n`
+    /// tasks).
+    pub threads: usize,
+    /// Indices per claim. `None` defers to `GPS_PAR_CHUNK`, then to the
+    /// default granularity; see [`Pool::chunk_for`].
+    pub chunk: Option<usize>,
+}
+
+impl Pool {
+    /// A pool of `threads` workers with the default chunking.
+    pub fn new(threads: usize) -> Pool {
+        Pool {
+            threads,
+            chunk: None,
+        }
+    }
+
+    /// The pool the environment asks for: worker count from
+    /// `GPS_PAR_THREADS` (unset or `0` → available parallelism, always at
+    /// least 1), chunk left to [`Pool::chunk_for`] (which honors
+    /// `GPS_PAR_CHUNK`).
+    pub fn from_env() -> Pool {
+        let threads = match std::env::var("GPS_PAR_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+        {
+            Some(0) | None => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            Some(k) => k,
+        };
+        Pool::new(threads)
+    }
+
+    /// The chunk size a fork-join of `n` tasks uses: the explicit
+    /// [`chunk`](Pool::chunk), else `GPS_PAR_CHUNK` if positive, else
+    /// `max(1, n / (workers * DEFAULT_CHUNKS_PER_WORKER))`.
+    pub fn chunk_for(&self, n: usize) -> usize {
+        if let Some(c) = self.chunk {
+            return c;
+        }
+        match std::env::var("GPS_PAR_CHUNK")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&c| c > 0)
+        {
+            Some(c) => c,
+            None => {
+                let workers = self.threads.max(1).min(n.max(1));
+                (n / (workers * DEFAULT_CHUNKS_PER_WORKER)).max(1)
+            }
+        }
+    }
+
+    /// Maps `f(index, item)` over `items`; results come back in
+    /// submission order. The index makes it easy to derive per-task seeds
+    /// without cloning them into the items.
+    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
     {
-        Some(0) | None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        Some(k) => k,
+        self.map_with(items, || (), |_, i, item| f(i, item))
+    }
+
+    /// Maps `f(&mut scratch, index, item)` over `items` with per-worker
+    /// scratch state. `init` runs once per worker per fork-join; the
+    /// scratch value it builds is reused across every chunk that worker
+    /// drains. Each chunk's results are batched locally and pushed under
+    /// the collection lock *once per chunk*, then placed by submission
+    /// index after the join — output order is independent of worker
+    /// count, chunk size, and scheduling.
+    pub fn map_with<T, R, S, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, &T) -> R + Sync,
+    {
+        let n = items.len();
+        let chunk = self.chunk_for(n);
+        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
+        slots.resize_with(n, || None);
+        let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(
+            n.checked_div(chunk).unwrap_or(0).saturating_add(1),
+        ));
+        run_ranges(self.threads, n, chunk, &init, |scratch, range| {
+            let start = range.start;
+            let mut batch = Vec::with_capacity(range.len());
+            for i in range {
+                batch.push(f(scratch, i, &items[i]));
+            }
+            collected
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push((start, batch));
+        });
+        let produced = collected.into_inner().unwrap_or_else(|e| e.into_inner());
+        for (start, batch) in produced {
+            for (k, r) in batch.into_iter().enumerate() {
+                slots[start + k] = Some(r);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every index produced exactly once"))
+            .collect()
+    }
+
+    /// Supervised [`map_with`](Pool::map_with) with deterministic retry:
+    /// `f(&mut scratch, index, attempt, item)` is called with
+    /// `attempt = 0` first; every caught panic rebuilds the worker's
+    /// scratch with `init()` and consumes one attempt until
+    /// [`RetryPolicy::max_attempts`] is exhausted, at which point the
+    /// slot is quarantined as [`TaskOutcome::Panicked`]. Typed `Err`
+    /// returns are final immediately. Results come back in submission
+    /// order, independent of worker count and chunk size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `policy.max_attempts` is 0.
+    pub fn try_map<T, R, E, S, I, F>(
+        &self,
+        items: &[T],
+        policy: RetryPolicy,
+        init: I,
+        f: F,
+    ) -> Vec<TaskReport<R, E>>
+    where
+        T: Sync,
+        R: Send,
+        E: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, u32, &T) -> Result<R, E> + Sync,
+    {
+        assert!(policy.max_attempts >= 1, "need at least one attempt");
+        self.map_with(items, &init, |scratch, i, item| {
+            supervise_one(scratch, &init, i, item, policy, &f)
+        })
     }
 }
-
-/// Maps `f` over `items` on [`max_threads`] workers; results come back in
-/// submission order. See [`par_map_threads`].
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_threads(max_threads(), items, f)
-}
-
-/// Maps `f` over `(index, item)` pairs on [`max_threads`] workers;
-/// results come back in submission order. The index makes it easy to
-/// derive per-task seeds without cloning them into the items.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_threads(max_threads(), items, f)
-}
-
-/// [`par_map`] with an explicit worker count (used by determinism tests
-/// and benches to pin serial vs parallel without touching the
-/// environment).
-pub fn par_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed_threads(threads, items, |_, item| f(item))
-}
-
-/// [`par_map_indexed`] with an explicit worker count.
-pub fn par_map_indexed_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_chunked_threads(threads, None, items, f)
-}
-
-/// [`par_map_indexed_threads`] with an explicit chunk size (`None` =
-/// [`chunk_size`] default). Chunk size never changes the returned `Vec`;
-/// the scaling tests sweep it across {1, default, n} to pin that.
-pub fn par_map_indexed_chunked_threads<T, R, F>(
-    threads: usize,
-    chunk: Option<usize>,
-    items: &[T],
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_scratch_chunked_threads(
-        threads,
-        chunk,
-        items,
-        || (),
-        |_scratch, i, item| f(i, item),
-    )
-}
-
-/// [`par_map_indexed_scratch_chunked_threads`] with the default chunk
-/// size.
-pub fn par_map_indexed_scratch_threads<T, R, S, I, F>(
-    threads: usize,
-    items: &[T],
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    par_map_indexed_scratch_chunked_threads(threads, None, items, init, f)
-}
-
-/// The funnel all maps drain through: maps `f(&mut scratch, index, item)`
-/// over `items` with per-worker scratch state. `init` runs once per
-/// worker per fork-join; the scratch value it builds is reused across
-/// every chunk that worker drains, so expensive per-task setup (simulator
-/// state, output buffers) amortizes to once per worker. Each chunk's
-/// results are batched locally and pushed under the collection lock
-/// *once per chunk*, then placed by submission index after the join —
-/// output order is independent of worker count, chunk size, and
-/// scheduling.
-pub fn par_map_indexed_scratch_chunked_threads<T, R, S, I, F>(
-    threads: usize,
-    chunk: Option<usize>,
-    items: &[T],
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = threads.max(1).min(n.max(1));
-    let chunk = chunk.unwrap_or_else(|| chunk_size(n, workers));
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(
-        n.checked_div(chunk).unwrap_or(0).saturating_add(1),
-    ));
-    run_ranges(threads, n, chunk, &init, |scratch, range| {
-        let start = range.start;
-        let mut batch = Vec::with_capacity(range.len());
-        for i in range {
-            batch.push(f(scratch, i, &items[i]));
-        }
-        collected
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((start, batch));
-    });
-    let produced = collected.into_inner().unwrap_or_else(|e| e.into_inner());
-    for (start, batch) in produced {
-        for (k, r) in batch.into_iter().enumerate() {
-            slots[start + k] = Some(r);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index produced exactly once"))
-        .collect()
-}
-
-/// Runs `f(i)` for every `i in 0..n` across [`max_threads`] workers,
-/// handing out indices in chunks of `chunk`. `f` must synchronize any
-/// shared writes itself (the idiomatic pattern is one output slot per
-/// index — disjoint writes need no locks, and the result is independent
-/// of scheduling).
-pub fn par_for_indexed<F>(n: usize, chunk: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    par_for_indexed_threads(max_threads(), n, chunk, f)
-}
-
-/// [`par_for_indexed`] with an explicit worker count.
-pub fn par_for_indexed_threads<F>(threads: usize, n: usize, chunk: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    run_indexed(threads, n, chunk, f)
-}
-
-// ---------------------------------------------------------------------
-// Supervised (fallible) fork-join
 
 /// Outcome of one supervised task (see the crate-level *Supervision*
 /// section).
@@ -320,11 +296,6 @@ pub enum TaskOutcome<R, E> {
 }
 
 impl<R, E> TaskOutcome<R, E> {
-    /// True for [`TaskOutcome::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, TaskOutcome::Ok(_))
-    }
-
     /// The produced value, if any.
     pub fn ok(self) -> Option<R> {
         match self {
@@ -371,13 +342,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn no_retry() -> Self {
-        Self { max_attempts: 1 }
-    }
-}
-
 /// Cached handles for the supervision counters (see crate docs).
 struct SupervisionCounters {
     panicked: gps_obs::Counter,
@@ -403,7 +367,7 @@ fn supervision_counters() -> &'static SupervisionCounters {
 
 /// Best-effort text of a panic payload (`&str` and `String` payloads,
 /// which is what `panic!` produces; anything else gets a placeholder).
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -413,122 +377,27 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Fallible [`par_map`]: maps `f` over `items`, catching per-task panics
-/// instead of aborting the join. No retries; see
-/// [`par_try_map_indexed_retry`] for the retrying variant.
-pub fn par_try_map<T, R, E, F>(items: &[T], f: F) -> Vec<TaskOutcome<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    par_try_map_indexed(items, |_, item| f(item))
-}
-
-/// Fallible [`par_map_indexed`] (no retries).
-pub fn par_try_map_indexed<T, R, E, F>(items: &[T], f: F) -> Vec<TaskOutcome<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    par_try_map_indexed_threads(max_threads(), items, f)
-}
-
-/// [`par_try_map_indexed`] with an explicit worker count.
-pub fn par_try_map_indexed_threads<T, R, E, F>(
-    threads: usize,
-    items: &[T],
-    f: F,
-) -> Vec<TaskOutcome<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    par_try_map_indexed_retry_threads(threads, items, RetryPolicy::no_retry(), |i, _attempt, t| {
-        f(i, t)
-    })
-    .into_iter()
-    .map(|r| r.outcome)
-    .collect()
-}
-
-/// Supervised map with deterministic retry: `f(index, attempt, item)` is
-/// called with `attempt = 0` first; every caught panic consumes one
-/// attempt until [`RetryPolicy::max_attempts`] is exhausted, at which
-/// point the slot is quarantined as [`TaskOutcome::Panicked`]. Typed
-/// `Err` returns are final immediately. Results come back in submission
-/// order, independent of worker count.
-pub fn par_try_map_indexed_retry<T, R, E, F>(
-    items: &[T],
+/// Runs one task under the retry policy, catching panics per attempt,
+/// rebuilding the scratch after each one, and recording supervision
+/// telemetry.
+fn supervise_one<T, R, E, S, I, F>(
+    scratch: &mut S,
+    init: &I,
+    i: usize,
+    item: &T,
     policy: RetryPolicy,
-    f: F,
-) -> Vec<TaskReport<R, E>>
+    f: &F,
+) -> TaskReport<R, E>
 where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, u32, &T) -> Result<R, E> + Sync,
-{
-    par_try_map_indexed_retry_threads(max_threads(), items, policy, f)
-}
-
-/// [`par_try_map_indexed_retry`] with an explicit worker count.
-pub fn par_try_map_indexed_retry_threads<T, R, E, F>(
-    threads: usize,
-    items: &[T],
-    policy: RetryPolicy,
-    f: F,
-) -> Vec<TaskReport<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, u32, &T) -> Result<R, E> + Sync,
-{
-    par_try_map_indexed_retry_chunked_threads(threads, None, items, policy, f)
-}
-
-/// [`par_try_map_indexed_retry_threads`] with an explicit chunk size
-/// (`None` = [`chunk_size`] default). Supervision stays per *task*, not
-/// per chunk: each index inside a chunk is independently caught, retried,
-/// and (if exhausted) quarantined, so chunked supervised campaigns
-/// restore/retry/quarantine identically to per-task ones.
-pub fn par_try_map_indexed_retry_chunked_threads<T, R, E, F>(
-    threads: usize,
-    chunk: Option<usize>,
-    items: &[T],
-    policy: RetryPolicy,
-    f: F,
-) -> Vec<TaskReport<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, u32, &T) -> Result<R, E> + Sync,
-{
-    assert!(policy.max_attempts >= 1, "need at least one attempt");
-    par_map_indexed_chunked_threads(threads, chunk, items, |i, item| {
-        supervise_one(i, item, policy, &f)
-    })
-}
-
-/// Runs one task under the retry policy, catching panics per attempt and
-/// recording supervision telemetry.
-fn supervise_one<T, R, E, F>(i: usize, item: &T, policy: RetryPolicy, f: &F) -> TaskReport<R, E>
-where
-    F: Fn(usize, u32, &T) -> Result<R, E> + Sync,
+    I: Fn() -> S,
+    F: Fn(&mut S, usize, u32, &T) -> Result<R, E>,
 {
     let counters = supervision_counters();
     let mut attempts = 0u32;
     loop {
         let attempt = attempts;
         attempts += 1;
-        match panic::catch_unwind(panic::AssertUnwindSafe(|| f(i, attempt, item))) {
+        match panic::catch_unwind(panic::AssertUnwindSafe(|| f(scratch, i, attempt, item))) {
             Ok(Ok(r)) => {
                 if attempt > 0 {
                     counters.recovered.inc();
@@ -559,6 +428,7 @@ where
                 };
             }
             Err(payload) => {
+                *scratch = init();
                 let message = panic_message(payload.as_ref());
                 counters.panicked.inc();
                 gps_obs::warn(
@@ -609,20 +479,6 @@ fn pool_metrics(n: usize, workers: usize) -> bool {
             .set(workers as f64);
     }
     timing
-}
-
-/// The shared work loop: workers pull `chunk`-sized index ranges from an
-/// atomic cursor until exhausted. With one worker this degenerates to the
-/// exact serial `for i in 0..n` order through the same code.
-fn run_indexed<F>(threads: usize, n: usize, chunk: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    run_ranges(threads, n, chunk, &|| (), |_scratch, range| {
-        for i in range {
-            f(i);
-        }
-    });
 }
 
 /// Per-worker accounting slots for one fork-join, filled only when span
@@ -797,46 +653,54 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    fn pool(threads: usize, chunk: usize) -> Pool {
+        Pool {
+            threads,
+            chunk: Some(chunk),
+        }
+    }
+
     #[test]
-    fn par_map_preserves_submission_order() {
+    fn map_preserves_submission_order() {
         let items: Vec<u64> = (0..257).collect();
         for threads in [1, 2, 4, 7] {
-            let out = par_map_threads(threads, &items, |&x| x * x);
+            let out = Pool::new(threads).map(&items, |_, &x| x * x);
             let want: Vec<u64> = items.iter().map(|&x| x * x).collect();
             assert_eq!(out, want, "threads = {threads}");
         }
     }
 
     #[test]
-    fn par_map_indexed_passes_correct_indices() {
+    fn map_passes_correct_indices() {
         let items = vec!["a", "b", "c", "d", "e"];
-        let out = par_map_indexed_threads(3, &items, |i, &s| format!("{i}:{s}"));
+        let out = Pool::new(3).map(&items, |i, &s| format!("{i}:{s}"));
         assert_eq!(out, vec!["0:a", "1:b", "2:c", "3:d", "4:e"]);
     }
 
     #[test]
     fn empty_input_returns_empty() {
         let items: Vec<u32> = vec![];
-        assert!(par_map_threads(4, &items, |&x| x).is_empty());
-        par_for_indexed_threads(4, 0, 8, |_| panic!("must not run"));
+        assert!(Pool::new(4).map(&items, |_, &x| x).is_empty());
+        let none: Vec<()> = pool(4, 8).map(&items, |_, _| panic!("must not run"));
+        assert!(none.is_empty());
     }
 
     #[test]
     fn single_item_runs_inline() {
-        let out = par_map_threads(8, &[41], |&x| x + 1);
+        let out = Pool::new(8).map(&[41], |_, &x| x + 1);
         assert_eq!(out, vec![42]);
     }
 
     #[test]
-    fn par_for_indexed_covers_every_index_once() {
+    fn map_covers_every_index_once() {
         let n = 1000;
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         for (threads, chunk) in [(1, 1), (4, 1), (4, 16), (3, 997)] {
             for h in &hits {
                 h.store(0, Ordering::Relaxed);
             }
-            par_for_indexed_threads(threads, n, chunk, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
+            pool(threads, chunk).map(&hits, |_, h| {
+                h.fetch_add(1, Ordering::Relaxed);
             });
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
@@ -852,8 +716,8 @@ mod tests {
         let mut parallel = vec![0.0f64; n];
         {
             let cells: Vec<Mutex<&mut f64>> = parallel.iter_mut().map(Mutex::new).collect();
-            par_for_indexed_threads(4, n, 4, |i| {
-                **cells[i].lock().unwrap() = (i as f64).sqrt();
+            pool(4, 4).map(&cells, |i, cell| {
+                **cell.lock().unwrap() = (i as f64).sqrt();
             });
         }
         let serial: Vec<f64> = (0..n).map(|i| (i as f64).sqrt()).collect();
@@ -864,7 +728,7 @@ mod tests {
     fn panic_propagates_with_payload() {
         let items: Vec<u32> = (0..32).collect();
         let caught = panic::catch_unwind(panic::AssertUnwindSafe(|| {
-            par_map_threads(4, &items, |&x| {
+            Pool::new(4).map(&items, |_, &x| {
                 if x == 17 {
                     panic!("task 17 failed");
                 }
@@ -883,15 +747,16 @@ mod tests {
 
     #[test]
     fn serial_fallback_panic_propagates_too() {
+        let items: Vec<usize> = (0..4).collect();
         let r = panic::catch_unwind(panic::AssertUnwindSafe(|| {
-            par_for_indexed_threads(1, 4, 1, |i| assert!(i != 2, "boom"))
+            pool(1, 1).map(&items, |i, _| assert!(i != 2, "boom"))
         }));
         assert!(r.is_err());
     }
 
     #[test]
-    fn max_threads_is_positive() {
-        assert!(max_threads() >= 1);
+    fn from_env_threads_is_positive() {
+        assert!(Pool::from_env().threads >= 1);
     }
 
     #[test]
@@ -900,7 +765,7 @@ mod tests {
         // assert growth by at least this call's contribution.
         let before = gps_obs::metrics().counter("par.tasks_executed").get();
         let items: Vec<u64> = (0..123).collect();
-        let _ = par_map_threads(4, &items, |&x| x);
+        let _ = Pool::new(4).map(&items, |_, &x| x);
         let after = gps_obs::metrics().counter("par.tasks_executed").get();
         assert!(after >= before + 123, "before {before}, after {after}");
     }
@@ -909,17 +774,22 @@ mod tests {
     fn try_map_isolates_panics_and_typed_failures() {
         let items: Vec<u32> = (0..32).collect();
         for threads in [1, 4] {
-            let out = par_try_map_indexed_threads(threads, &items, |_, &x| {
-                if x == 7 {
-                    panic!("task 7 blew up");
-                }
-                if x == 11 {
-                    return Err(format!("task {x} declined"));
-                }
-                Ok(x * 2)
-            });
+            let out = Pool::new(threads).try_map(
+                &items,
+                RetryPolicy { max_attempts: 1 },
+                || (),
+                |_, _, _, &x| {
+                    if x == 7 {
+                        panic!("task 7 blew up");
+                    }
+                    if x == 11 {
+                        return Err(format!("task {x} declined"));
+                    }
+                    Ok(x * 2)
+                },
+            );
             assert_eq!(out.len(), 32, "threads {threads}");
-            for (i, o) in out.iter().enumerate() {
+            for (i, o) in out.iter().map(|r| &r.outcome).enumerate() {
                 match (i as u32, o) {
                     (7, TaskOutcome::Panicked(msg)) => assert!(msg.contains("task 7 blew up")),
                     (11, TaskOutcome::Failed(e)) => assert_eq!(e, "task 11 declined"),
@@ -933,11 +803,11 @@ mod tests {
     #[test]
     fn retry_recovers_transient_panics_with_attempt_number() {
         let items: Vec<u32> = (0..8).collect();
-        let out = par_try_map_indexed_retry_threads(
-            3,
+        let out = Pool::new(3).try_map(
             &items,
             RetryPolicy { max_attempts: 3 },
-            |_, attempt, &x| -> Result<u32, String> {
+            || (),
+            |_, _, attempt, &x| -> Result<u32, String> {
                 // Index 5 panics on its first two attempts, then succeeds —
                 // the recovery is deterministic in (index, attempt) alone.
                 if x == 5 && attempt < 2 {
@@ -960,11 +830,11 @@ mod tests {
     #[test]
     fn exhausted_retries_quarantine_with_final_message() {
         let items = [0u8, 1, 2];
-        let out = par_try_map_indexed_retry_threads(
-            2,
+        let out = Pool::new(2).try_map(
             &items,
             RetryPolicy { max_attempts: 2 },
-            |_, attempt, &x| -> Result<u8, String> {
+            || (),
+            |_, _, attempt, &x| -> Result<u8, String> {
                 if x == 1 {
                     panic!("always broken (attempt {attempt})");
                 }
@@ -984,11 +854,11 @@ mod tests {
     fn typed_failures_are_never_retried() {
         let tries = AtomicU64::new(0);
         let items = [42u8];
-        let out = par_try_map_indexed_retry_threads(
-            1,
+        let out = Pool::new(1).try_map(
             &items,
             RetryPolicy { max_attempts: 5 },
-            |_, _, _| -> Result<(), &'static str> {
+            || (),
+            |_, _, _, _| -> Result<(), &'static str> {
                 tries.fetch_add(1, Ordering::Relaxed);
                 Err("deterministic failure")
             },
@@ -1005,11 +875,11 @@ mod tests {
         let before_q = m.counter("par.tasks_quarantined").get();
         let before_r = m.counter("par.tasks_recovered").get();
         let items = [0u8, 1, 2, 3];
-        let _ = par_try_map_indexed_retry_threads(
-            2,
+        let _ = Pool::new(2).try_map(
             &items,
             RetryPolicy { max_attempts: 2 },
-            |_, attempt, &x| -> Result<u8, String> {
+            || (),
+            |_, _, attempt, &x| -> Result<u8, String> {
                 match x {
                     1 => panic!("permanent"),                 // 2 panics, 1 quarantine
                     2 if attempt == 0 => panic!("transient"), // 1 panic, 1 recovery
@@ -1023,17 +893,18 @@ mod tests {
     }
 
     #[test]
-    fn chunk_size_default_granularity() {
+    fn chunk_for_default_granularity() {
         // verify.sh runs one pass with GPS_PAR_CHUNK=1; the default-math
         // assertions only hold when the override is absent.
         if std::env::var("GPS_PAR_CHUNK").is_ok() {
             return;
         }
-        assert_eq!(chunk_size(64, 4), 4); // 64 / (4*4)
-        assert_eq!(chunk_size(1_000_000, 8), 31_250);
-        assert_eq!(chunk_size(3, 8), 1); // never zero
-        assert_eq!(chunk_size(0, 4), 1);
-        assert_eq!(chunk_size(16, 0), 4); // workers clamped to >= 1
+        assert_eq!(Pool::new(4).chunk_for(64), 4); // 64 / (4*4)
+        assert_eq!(Pool::new(8).chunk_for(1_000_000), 31_250);
+        assert_eq!(Pool::new(8).chunk_for(3), 1); // never zero
+        assert_eq!(Pool::new(4).chunk_for(0), 1);
+        assert_eq!(Pool::new(0).chunk_for(16), 4); // workers clamped to >= 1
+        assert_eq!(pool(4, 7).chunk_for(64), 7); // explicit chunk wins
     }
 
     #[test]
@@ -1042,8 +913,7 @@ mod tests {
         let want: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         for threads in [1, 2, 4] {
             for chunk in [Some(1), Some(7), Some(64), Some(193), Some(10_000), None] {
-                let out =
-                    par_map_indexed_chunked_threads(threads, chunk, &items, |_, &x| x * 3 + 1);
+                let out = Pool { threads, chunk }.map(&items, |_, &x| x * 3 + 1);
                 assert_eq!(out, want, "threads {threads} chunk {chunk:?}");
             }
         }
@@ -1057,9 +927,7 @@ mod tests {
         // chunk 5 → 20 chunks; scratch must be built at most once per
         // worker, not once per chunk, and each worker's tally of items
         // processed through its scratch must sum to n.
-        let out = par_map_indexed_scratch_chunked_threads(
-            threads,
-            Some(5),
+        let out = pool(threads, 5).map_with(
             &items,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
@@ -1090,15 +958,50 @@ mod tests {
     }
 
     #[test]
+    fn panic_rebuilds_scratch_before_retry() {
+        // One worker drains every index through one scratch. Index 3
+        // dirties the scratch and then panics on its first attempt; the
+        // retry must see a freshly built scratch, and later indices keep
+        // reusing that rebuilt value.
+        let inits = AtomicU64::new(0);
+        let items: Vec<u64> = (0..6).collect();
+        let out = pool(1, 6).try_map(
+            &items,
+            RetryPolicy::default(),
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                Vec::<u64>::new()
+            },
+            |seen, _, attempt, &x| -> Result<usize, String> {
+                seen.push(x);
+                if x == 3 && attempt == 0 {
+                    panic!("dirty scratch");
+                }
+                Ok(seen.len())
+            },
+        );
+        assert_eq!(
+            inits.load(Ordering::Relaxed),
+            2,
+            "initial build + one rebuild"
+        );
+        let lens: Vec<usize> = out
+            .iter()
+            .map(|r| r.outcome.clone().ok().unwrap())
+            .collect();
+        assert_eq!(lens, vec![1, 2, 3, 1, 2, 3]);
+        assert_eq!(out[3].attempts, 2);
+    }
+
+    #[test]
     fn chunked_retry_matches_per_task_supervision() {
         let items: Vec<u32> = (0..40).collect();
         let run = |chunk: Option<usize>| {
-            par_try_map_indexed_retry_chunked_threads(
-                3,
-                chunk,
+            Pool { threads: 3, chunk }.try_map(
                 &items,
                 RetryPolicy { max_attempts: 2 },
-                |_, attempt, &x| -> Result<u32, String> {
+                || (),
+                |_, _, attempt, &x| -> Result<u32, String> {
                     match x {
                         13 => panic!("permanent fault"),
                         21 if attempt == 0 => panic!("transient fault"),
@@ -1129,10 +1032,10 @@ mod tests {
         // Timing defaults off: no worker-busy spans, whatever other
         // tests have run (none of them enable timing).
         let items: Vec<u64> = (0..16).collect();
-        let _ = par_map_threads(2, &items, |&x| x);
+        let _ = Pool::new(2).map(&items, |_, &x| x);
         assert!(gps_obs::metrics().span_stats("par/worker_busy").is_none());
         gps_obs::global().set_timing(true);
-        let _ = par_map_threads(2, &items, |&x| x);
+        let _ = Pool::new(2).map(&items, |_, &x| x);
         gps_obs::global().set_timing(false);
         let busy = gps_obs::metrics()
             .span_stats("par/worker_busy")

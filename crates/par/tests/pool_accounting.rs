@@ -22,7 +22,7 @@ fn timing_mode_publishes_worker_accounts() {
     gps_obs::global().set_timing(true);
     gps_obs::metrics().reset();
     let items: Vec<u64> = (0..1000).collect();
-    let out = gps_par::par_map_threads(4, &items, |&x| {
+    let out = gps_par::Pool::new(4).map(&items, |_, &x| {
         std::hint::black_box(x.wrapping_mul(2654435761))
     });
     gps_obs::global().set_timing(false);
@@ -63,9 +63,14 @@ fn counts_mode_chunk_items_are_schedule_invariant() {
     let _g = locked();
     gps_obs::trace::configure(gps_obs::TraceMode::Counts);
     let mut exports = Vec::new();
+    let items: Vec<usize> = (0..640).collect();
     for (threads, chunk) in [(1usize, 1usize), (1, 160), (4, 1), (4, 160)] {
         gps_obs::trace::reset();
-        gps_par::par_for_indexed_threads(threads, 640, chunk, |i| {
+        let pool = gps_par::Pool {
+            threads,
+            chunk: Some(chunk),
+        };
+        pool.map(&items, |i, _| {
             std::hint::black_box(i.wrapping_mul(31));
         });
         exports.push(gps_obs::trace::export_json("pool_test").expect("counts export"));
@@ -97,7 +102,7 @@ fn disabled_instrumentation_leaves_no_gauges() {
     gps_obs::trace::configure(gps_obs::TraceMode::Off);
     gps_obs::metrics().reset();
     let items: Vec<u64> = (0..64).collect();
-    let _ = gps_par::par_map_threads(4, &items, |&x| x + 1);
+    let _ = gps_par::Pool::new(4).map(&items, |_, &x| x + 1);
     let snap = gps_obs::metrics().snapshot();
     assert!(
         !snap

@@ -22,12 +22,15 @@
 //! * [`faults::FaultySource`] — fault injection (drops, duplicated
 //!   bursts, rate scaling) for robustness experiments, in the spirit of
 //!   smoltcp's `--drop-chance`-style example knobs;
-//! * [`runner`] — seeded measurement campaigns producing per-session
+//! * [`runner`] — seeded measurement runs producing per-session
 //!   backlog/delay CCDFs ready to compare against analytical bounds;
-//! * [`supervise`] — supervised campaigns: per-replication panic
-//!   isolation with deterministic retry, typed [`supervise::SimError`]
-//!   failures, quarantine accounting, and crash-safe NDJSON
-//!   checkpoint/resume that keeps results byte-identical;
+//! * [`campaign`] — the one campaign funnel: a [`campaign::Campaign`]
+//!   spec (pool, replication range, monitor, supervisor, fold mode) run
+//!   generically over single-node and network replications;
+//! * [`supervise`] — campaign supervision: typed
+//!   [`supervise::SimError`] failures, the retry/quarantine/checkpoint
+//!   [`supervise::Supervisor`] spec, and the crash-safe NDJSON
+//!   checkpoint codec that keeps resumed results byte-identical;
 //! * [`orchestrate`] — fault-tolerant multi-process campaigns: a
 //!   coordinator leases (fingerprint, seed, replication-range) shards to
 //!   workers over the in-tree HTTP stack, workers stream checkpoint
@@ -41,6 +44,7 @@
 // indexed loops are clearer than zipped iterator chains there.
 #![allow(clippy::needless_range_loop)]
 
+pub mod campaign;
 pub mod ct_runner;
 pub mod faults;
 pub mod fluid_event;
@@ -53,6 +57,7 @@ pub mod runner;
 pub mod slotted;
 pub mod supervise;
 
+pub use campaign::{Campaign, CampaignOutcome, Fold, Replication};
 pub use ct_runner::{run_ct_fluid, CtRunConfig, CtRunReport};
 pub use faults::{FaultConfig, FaultConfigError, FaultySource};
 pub use fluid_event::FluidGps;
@@ -65,13 +70,8 @@ pub use orchestrate::{
 pub use packet_network::{run_packet_network, PacketJourney, PacketNetworkError};
 pub use pgps::{FifoServer, Packet, PgpsServer, PriorityServer};
 pub use runner::{
-    merge_network_reports, merge_single_node_reports, run_network_campaign,
-    run_single_node_campaign, NetworkRunConfig, NetworkRunReport, SingleNodeRunConfig,
-    SingleNodeRunReport,
+    merge_network_reports, merge_single_node_reports, NetworkRunConfig, NetworkRunReport,
+    SingleNodeRunConfig, SingleNodeRunReport,
 };
 pub use slotted::{SlotOutput, SlottedGps};
-pub use supervise::{
-    resume_network_campaign, resume_single_node_campaign, run_supervised_network_campaign,
-    run_supervised_single_node_campaign, CampaignOutcome, CheckpointFile, PanicInjection, SimError,
-    Supervisor,
-};
+pub use supervise::{CheckpointFile, PanicInjection, SimError, Supervisor};

@@ -50,7 +50,7 @@ pub struct SlottedGpsNetwork {
 ///
 /// Doubles as a reusable buffer for
 /// [`SlottedGpsNetwork::step_into`], mirroring
-/// [`SlotOutput`](crate::slotted::SlotOutput).
+/// [`SlotOutput`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkSlotOutput {
     /// Per-session network backlog at the end of the slot.

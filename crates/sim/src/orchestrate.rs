@@ -1,7 +1,7 @@
 //! Fault-tolerant distributed campaign orchestration: a coordinator
 //! leases (config-fingerprint, seed, replication-range) shards to worker
 //! processes over the in-tree HTTP stack; workers run them through the
-//! supervised campaign engine ([`crate::supervise`]) and stream
+//! supervised campaign funnel ([`crate::campaign`]) and stream
 //! checkpoint NDJSON lines back; the coordinator merges in replication
 //! order, so a distributed run is **byte-identical** to a single-process
 //! supervised run.
@@ -17,7 +17,7 @@
 //!   leased (or the in-flight cap is reached), or [`LeaseReply::Done`]
 //!   when the campaign is complete.
 //! * **submit** (`POST /result`, body = one checkpoint line) — a worker
-//!   streams each completed replication as a [`supervise::checkpoint_line`]
+//!   streams each completed replication as a [`checkpoint_line`]
 //!   in the exact v1 format local checkpoints use. Submission is
 //!   **idempotent**: lines are deduplicated by replication index after
 //!   validating the (kind, fingerprint, seed) identity, so at-least-once
@@ -49,7 +49,7 @@
 //!
 //! The merged result is a pure function of the campaign spec: reports
 //! are decoded from the journal in ascending replication order and
-//! folded exactly as [`runner::merge_single_node_reports`] does locally.
+//! folded exactly as [`merge_single_node_reports`] does locally.
 //! Worker count, shard size, arrival order, duplicate deliveries, worker
 //! kills, and coordinator restarts are all invisible in the output.
 //!
@@ -61,15 +61,14 @@
 //! shape `scripts/verify.sh` uses to find a victim PID and `kill -9` it
 //! mid-campaign.
 
+use crate::campaign::{Campaign, Replication};
 use crate::runner::{merge_single_node_reports, SingleNodeRunConfig, SingleNodeRunReport};
 use crate::supervise::{
-    checkpoint_line, decode_checkpoint_line, fingerprint_single_node,
-    run_supervised_single_node_campaign_range_chunked_threads, single_node_report_from_json,
-    CheckpointFile, OnComplete, SimError, Supervisor,
+    checkpoint_line, decode_checkpoint_line, CheckpointFile, OnComplete, SimError, Supervisor,
 };
 use gps_obs::exporter::RetryingClient;
 use gps_obs::json::{self, Json};
-use gps_par::{RetryPolicy, TaskOutcome};
+use gps_par::{Pool, RetryPolicy, TaskOutcome};
 use gps_sources::SlotSource;
 use std::collections::BTreeMap;
 use std::net::ToSocketAddrs;
@@ -80,7 +79,7 @@ use std::time::Duration;
 /// Campaign kind tag carried on every protocol message and journal line.
 /// Only single-node campaigns are orchestrated today; the tag keeps the
 /// wire format forward-compatible with network campaigns.
-pub const KIND_SINGLE_NODE: &str = "single_node";
+pub const KIND_SINGLE_NODE: &str = SingleNodeRunConfig::KIND;
 
 // ---------------------------------------------------------------------
 // Campaign spec and coordinator state
@@ -357,7 +356,7 @@ impl Coordinator {
                 "campaign needs replications >= 1 and shard_size >= 1".to_string(),
             ));
         }
-        let fingerprint = fingerprint_single_node(&spec.cfg);
+        let fingerprint = spec.cfg.fingerprint();
         let (journal, mut restored) = match &cfg.journal {
             Some(path) => {
                 let (file, map) = CheckpointFile::open(
@@ -374,7 +373,7 @@ impl Coordinator {
         // Only in-range payloads that decode against this config count
         // as restored; anything else is recomputed.
         restored.retain(|&r, payload| {
-            r < spec.replications && single_node_report_from_json(&spec.cfg, payload).is_some()
+            r < spec.replications && spec.cfg.report_from_json(payload).is_some()
         });
         let completed: BTreeMap<u64, Json> = restored.into_iter().collect();
         let mut shards = Vec::new();
@@ -585,7 +584,7 @@ impl Coordinator {
         if r >= self.spec.replications {
             return self.reject("replication out of range");
         }
-        if single_node_report_from_json(&self.spec.cfg, &payload).is_none() {
+        if self.spec.cfg.report_from_json(&payload).is_none() {
             return self.reject("report payload malformed for this config");
         }
         if let Some(i) = self.shard_index_of(r) {
@@ -663,7 +662,7 @@ impl Coordinator {
                 let payload = self.completed.get(&r).ok_or_else(|| {
                     SimError::Checkpoint(format!("replication {r} missing from journal"))
                 })?;
-                single_node_report_from_json(&self.spec.cfg, payload).ok_or_else(|| {
+                self.spec.cfg.report_from_json(payload).ok_or_else(|| {
                     SimError::Checkpoint(format!("replication {r} payload malformed"))
                 })
             })
@@ -903,7 +902,7 @@ impl KillInjection {
 pub struct WorkerOptions {
     /// Identity quoted on lease polls (shows up in coordinator logs).
     pub worker_id: String,
-    /// Pool threads per shard run (0 → [`gps_par::max_threads`]).
+    /// Pool threads per shard run (0 → [`Pool::from_env`]).
     pub threads: usize,
     /// Chunk size for the shard run's task queue (`None` → default).
     pub chunk: Option<usize>,
@@ -984,8 +983,18 @@ where
             let mut t = transport.lock().expect("transport mutex poisoned");
             t.lease(&opts.worker_id).map_err(SimError::Checkpoint)?
         };
-        let (shard, start, end, token, scenario, fingerprint, seed, takeover) = match reply {
-            LeaseReply::Done => {
+        let LeaseReply::Shard {
+            shard,
+            start,
+            end,
+            token,
+            scenario,
+            fingerprint,
+            seed,
+            takeover,
+        } = reply
+        else {
+            if reply == LeaseReply::Done {
                 gps_obs::info(
                     "sim.orchestrate",
                     "worker_done",
@@ -997,37 +1006,16 @@ where
                 );
                 return Ok(summary);
             }
-            LeaseReply::Wait => {
-                summary.wait_polls += 1;
-                waits_in_a_row += 1;
-                if waits_in_a_row > opts.max_wait_polls {
-                    return Err(SimError::Checkpoint(format!(
-                        "worker {} starved: {} consecutive wait polls",
-                        opts.worker_id, waits_in_a_row
-                    )));
-                }
-                std::thread::sleep(opts.poll);
-                continue;
+            summary.wait_polls += 1;
+            waits_in_a_row += 1;
+            if waits_in_a_row > opts.max_wait_polls {
+                return Err(SimError::Checkpoint(format!(
+                    "worker {} starved: {} consecutive wait polls",
+                    opts.worker_id, waits_in_a_row
+                )));
             }
-            LeaseReply::Shard {
-                shard,
-                start,
-                end,
-                token,
-                scenario,
-                fingerprint,
-                seed,
-                takeover,
-            } => (
-                shard,
-                start,
-                end,
-                token,
-                scenario,
-                fingerprint,
-                seed,
-                takeover,
-            ),
+            std::thread::sleep(opts.poll);
+            continue;
         };
         waits_in_a_row = 0;
         if takeover {
@@ -1036,7 +1024,7 @@ where
         let resolved = resolve(&scenario).ok_or_else(|| {
             SimError::Checkpoint(format!("worker cannot resolve scenario {scenario:?}"))
         })?;
-        let local_fp = fingerprint_single_node(&resolved.cfg);
+        let local_fp = resolved.cfg.fingerprint();
         if local_fp != fingerprint || resolved.cfg.seed != seed {
             return Err(SimError::Checkpoint(format!(
                 "scenario {scenario:?} mismatch: lease wants fp={fingerprint:016x} seed={seed}, \
@@ -1078,27 +1066,29 @@ where
             on_complete: Some(hook),
         };
         let threads = if opts.threads == 0 {
-            gps_par::max_threads()
+            Pool::from_env().threads
         } else {
             opts.threads
         };
-        let make_sources = Arc::clone(&resolved.make_sources);
-        let outcome = run_supervised_single_node_campaign_range_chunked_threads(
+        let pool = Pool {
             threads,
-            opts.chunk,
-            &resolved.cfg,
-            start..end,
-            move |r| make_sources(r),
-            &supervisor,
-            None,
-        )?;
-        for t in &outcome.tasks {
+            chunk: opts.chunk,
+        };
+        let campaign = Campaign {
+            range: start..end,
+            ..Campaign::new(pool, 0)
+        };
+        let make_sources = &resolved.make_sources;
+        let outcome = campaign
+            .supervisor(&supervisor)
+            .run(&resolved.cfg, |r| make_sources(r))?;
+        for (r, t) in (start..end).zip(&outcome.tasks) {
             match &t.outcome {
                 TaskOutcome::Ok(_) => summary.replications_run += 1,
                 TaskOutcome::Failed(e) => return Err(e.clone()),
                 TaskOutcome::Panicked(msg) => {
                     return Err(SimError::Panicked {
-                        replication: start,
+                        replication: r,
                         message: msg.clone(),
                     })
                 }
@@ -1165,13 +1155,17 @@ mod tests {
             .into_iter()
             .map(|s| Box::new(s) as Box<dyn SlotSource>)
             .collect();
-        let report = crate::runner::run_single_node_core(&mut sources, &cfg_r);
+        let report = crate::runner::run_single_node_core_scratch(
+            &mut Default::default(),
+            &mut sources,
+            &cfg_r,
+        );
         checkpoint_line(
             KIND_SINGLE_NODE,
-            fingerprint_single_node(cfg),
+            cfg.fingerprint(),
             cfg.seed,
             r,
-            &crate::supervise::single_node_report_to_json(&report),
+            &SingleNodeRunConfig::report_to_json(&report),
         )
     }
 
@@ -1322,7 +1316,7 @@ mod tests {
             other.seed = 999;
             checkpoint_line(
                 KIND_SINGLE_NODE,
-                fingerprint_single_node(&cfg),
+                cfg.fingerprint(),
                 other.seed,
                 0,
                 &Json::U64(1),

@@ -1,6 +1,6 @@
 //! Packet-level simulation of feed-forward PGPS networks.
 //!
-//! The paper notes its results "can be easily extended to [the]
+//! The paper notes its results "can be easily extended to \[the\]
 //! packetized version of GPS — PGPS". This module simulates a network of
 //! PGPS (WFQ) servers at packet granularity: sessions follow their
 //! routes, each node schedules by virtual finish time, and a packet's

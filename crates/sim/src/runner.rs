@@ -9,15 +9,15 @@
 //!
 //! # Campaigns
 //!
-//! Monte Carlo campaigns fan replications out over [`gps_par`]:
-//! [`run_single_node_campaign`] / [`run_network_campaign`] run `R`
-//! replications (replication `r` uses master seed `base.seed + r`) on
-//! `GPS_PAR_THREADS` workers and return reports in replication order.
-//! Every replication is a pure function of its seed and metrics are
-//! folded into the global registry *after* the join, in replication
-//! order — so parallel and serial campaign runs are byte-identical
-//! (CSV rows, merged CCDFs, metrics snapshots), which
-//! `tests/determinism.rs` pins.
+//! This module holds the per-replication pieces — configs, reports, the
+//! scratch-reusing simulators, metrics records, monitor folds, and
+//! merges. Monte Carlo campaigns over them run through the one funnel in
+//! [`crate::campaign`]: a [`Campaign`](crate::campaign::Campaign) spec
+//! drives `R` replications (replication `r` uses master seed
+//! `base.seed + r`) on a [`gps_par::Pool`] and folds metrics into the
+//! global registry *after* the join, in replication order — so parallel
+//! and serial campaign runs are byte-identical (CSV rows, merged CCDFs,
+//! metrics snapshots), which `tests/determinism.rs` pins.
 
 use crate::network_sim::{NetworkSlotOutput, SlottedGpsNetwork};
 use crate::slotted::{SlotOutput, SlottedGps};
@@ -78,7 +78,7 @@ pub fn run_single_node(
     sources: &mut [Box<dyn SlotSource>],
     config: &SingleNodeRunConfig,
 ) -> SingleNodeRunReport {
-    let report = run_single_node_core(sources, config);
+    let report = run_single_node_core_scratch(&mut SingleNodeScratch::default(), sources, config);
     record_single_node_metrics(gps_obs::metrics(), &report);
     report
 }
@@ -98,30 +98,31 @@ pub struct SingleNodeScratch {
     rngs: Vec<Xoshiro256pp>,
 }
 
-impl SingleNodeScratch {
-    /// An empty scratch, ready for [`run_single_node_core_scratch`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// [`run_single_node`] without the global-registry metrics fold — the
-/// building block campaign workers run in parallel. Callers that want
-/// metrics record the returned report afterwards (in a deterministic
-/// order) via [`record_single_node_metrics`].
-pub fn run_single_node_core(
+/// Rebuilds the per-source RNG streams of master seed `seed` in `rngs`
+/// and resets every source on its stream.
+fn reseed<'a>(
+    rngs: &'a mut Vec<Xoshiro256pp>,
     sources: &mut [Box<dyn SlotSource>],
-    config: &SingleNodeRunConfig,
-) -> SingleNodeRunReport {
-    let mut scratch = SingleNodeScratch::new();
-    run_single_node_core_scratch(&mut scratch, sources, config)
+    seed: u64,
+) -> &'a mut [Xoshiro256pp] {
+    let seeds = SeedSequence::new(seed);
+    rngs.clear();
+    rngs.extend((0..sources.len()).map(|i| seeds.rng("source", i as u64)));
+    for (s, rng) in sources.iter_mut().zip(rngs.iter_mut()) {
+        s.reset(rng);
+    }
+    rngs
 }
 
-/// [`run_single_node_core`] over caller-owned scratch state. The report
-/// is a pure function of `(sources, config)` — a reused scratch produces
-/// bit-identical output to a fresh one (a reset server is
-/// indistinguishable from a new server; every buffer is overwritten
-/// before use), which the campaign determinism tests pin.
+/// [`run_single_node`] over caller-owned scratch state and without the
+/// global-registry metrics fold — the building block campaign workers run
+/// in parallel; callers that want metrics record the returned report
+/// afterwards (in a deterministic order) via
+/// [`record_single_node_metrics`]. The report is a pure function of
+/// `(sources, config)` — a reused scratch produces bit-identical output
+/// to a fresh one (a reset server is indistinguishable from a new server;
+/// every buffer is overwritten before use), which the campaign
+/// determinism tests pin.
 pub fn run_single_node_core_scratch(
     scratch: &mut SingleNodeScratch,
     sources: &mut [Box<dyn SlotSource>],
@@ -141,15 +142,7 @@ pub fn run_single_node_core_scratch(
         ],
     );
     let _run_span = gps_obs::span("sim/run_single_node");
-    let seeds = SeedSequence::new(config.seed);
-    scratch.rngs.clear();
-    scratch
-        .rngs
-        .extend((0..n).map(|i| seeds.rng("source", i as u64)));
-    let rngs = &mut scratch.rngs;
-    for (s, rng) in sources.iter_mut().zip(rngs.iter_mut()) {
-        s.reset(rng);
-    }
+    let rngs = reseed(&mut scratch.rngs, sources, config.seed);
 
     let reusable = scratch
         .server
@@ -278,7 +271,7 @@ pub fn run_network(
     sources: &mut [Box<dyn SlotSource>],
     config: &NetworkRunConfig,
 ) -> NetworkRunReport {
-    let report = run_network_core(sources, config);
+    let report = run_network_core_scratch(&mut NetworkScratch::default(), sources, config);
     record_network_metrics(gps_obs::metrics(), &report);
     report
 }
@@ -294,25 +287,9 @@ pub struct NetworkScratch {
     rngs: Vec<Xoshiro256pp>,
 }
 
-impl NetworkScratch {
-    /// An empty scratch, ready for [`run_network_core_scratch`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// [`run_network`] without the global-registry metrics fold (see
-/// [`run_single_node_core`]).
-pub fn run_network_core(
-    sources: &mut [Box<dyn SlotSource>],
-    config: &NetworkRunConfig,
-) -> NetworkRunReport {
-    let mut scratch = NetworkScratch::new();
-    run_network_core_scratch(&mut scratch, sources, config)
-}
-
-/// [`run_network_core`] over caller-owned scratch state; bit-identical
-/// to the fresh-scratch path (see [`run_single_node_core_scratch`]).
+/// [`run_network`] over caller-owned scratch state and without the
+/// metrics fold; bit-identical to a fresh scratch (see
+/// [`run_single_node_core_scratch`]).
 pub fn run_network_core_scratch(
     scratch: &mut NetworkScratch,
     sources: &mut [Box<dyn SlotSource>],
@@ -332,15 +309,7 @@ pub fn run_network_core_scratch(
         ],
     );
     let _run_span = gps_obs::span("sim/run_network");
-    let seeds = SeedSequence::new(config.seed);
-    scratch.rngs.clear();
-    scratch
-        .rngs
-        .extend((0..n).map(|i| seeds.rng("source", i as u64)));
-    let rngs = &mut scratch.rngs;
-    for (s, rng) in sources.iter_mut().zip(rngs.iter_mut()) {
-        s.reset(rng);
-    }
+    let rngs = reseed(&mut scratch.rngs, sources, config.seed);
 
     let reusable = scratch
         .net
@@ -423,171 +392,6 @@ pub fn record_network_metrics(registry: &Registry, report: &NetworkRunReport) {
     }
 }
 
-/// Runs `replications` independent single-node campaigns on
-/// `GPS_PAR_THREADS` workers (see [`gps_par::max_threads`]). Replication
-/// `r` uses master seed `base.seed + r` and fresh sources from
-/// `make_sources(r)`; reports come back in replication order and are
-/// identical for any worker count.
-pub fn run_single_node_campaign<F>(
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_single_node_campaign_threads(gps_par::max_threads(), base, replications, make_sources)
-}
-
-/// [`run_single_node_campaign`] with an explicit worker count (what the
-/// determinism tests and benches pin).
-pub fn run_single_node_campaign_threads<F>(
-    threads: usize,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_single_node_campaign_monitored_threads(threads, base, replications, make_sources, None)
-}
-
-/// [`run_single_node_campaign_threads`] with an explicit chunk size for
-/// the worker task queue. `None` uses the [`gps_par::chunk_size`]
-/// default (which honors `GPS_PAR_CHUNK`). The chunk size only shapes
-/// scheduling: reports are byte-identical for every `(threads, chunk)`
-/// combination.
-pub fn run_single_node_campaign_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_single_node_campaign_monitored_chunked_threads(
-        threads,
-        chunk,
-        base,
-        replications,
-        make_sources,
-        None,
-    )
-}
-
-/// [`run_single_node_campaign`] with an online [`BoundMonitor`]: after
-/// the parallel join, replication reports are folded in order into a
-/// running pooled report and the merged-so-far empirical tails are
-/// checked against the monitor's analytic curves after every fold (so a
-/// violation is caught at the earliest replication where the pooled
-/// evidence supports it). Pass `None` for plain campaign behavior.
-pub fn run_single_node_campaign_monitored<F>(
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_single_node_campaign_monitored_threads(
-        gps_par::max_threads(),
-        base,
-        replications,
-        make_sources,
-        monitor,
-    )
-}
-
-/// [`run_single_node_campaign_monitored`] with an explicit worker count.
-pub fn run_single_node_campaign_monitored_threads<F>(
-    threads: usize,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_single_node_campaign_monitored_chunked_threads(
-        threads,
-        None,
-        base,
-        replications,
-        make_sources,
-        monitor,
-    )
-}
-
-/// The full single-node campaign: explicit worker count, explicit chunk
-/// size (`None` → [`gps_par::chunk_size`] default), optional online
-/// bound monitor. Every other single-node campaign entry point funnels
-/// into this one.
-pub fn run_single_node_campaign_monitored_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    gps_obs::info(
-        "sim.runner",
-        "single_node_campaign",
-        &[
-            ("replications", replications.into()),
-            ("threads", (threads as u64).into()),
-            ("base_seed", base.seed.into()),
-        ],
-    );
-    let _span = gps_obs::span("sim/single_node_campaign");
-    gps_obs::global_progress().begin_campaign("single_node", replications);
-    let reps: Vec<u64> = (0..replications).collect();
-    let reports = gps_par::par_map_indexed_scratch_chunked_threads(
-        threads,
-        chunk,
-        &reps,
-        SingleNodeScratch::new,
-        |scratch, _, &r| {
-            let mut cfg = base.clone();
-            cfg.seed = base.seed.wrapping_add(r);
-            let mut sources = make_sources(r);
-            let report = run_single_node_core_scratch(scratch, &mut sources, &cfg);
-            gps_obs::global_progress().add_done(1);
-            report
-        },
-    );
-    // Metrics fold happens after the join, in replication order, so the
-    // snapshot is independent of worker scheduling.
-    for report in &reports {
-        record_single_node_metrics(gps_obs::metrics(), report);
-    }
-    if let Some(mon) = monitor {
-        let mut merged: Option<SingleNodeRunReport> = None;
-        for (fold, report) in reports.iter().enumerate() {
-            let _t =
-                gps_obs::trace::scope(gps_obs::TraceKind::MonitorFold, "monitor_fold", fold as u64);
-            let pooled = match merged.take() {
-                None => report.clone(),
-                Some(prev) => merge_single_node_reports(&[prev, report.clone()]),
-            };
-            monitor_single_node_fold(mon, gps_obs::metrics(), &pooled, fold as u64);
-            merged = Some(pooled);
-        }
-    }
-    if gps_obs::global().timing_enabled() {
-        gps_obs::global_progress().publish_gauges(gps_obs::metrics());
-    }
-    reports
-}
-
 /// Checks every session of a (merged) single-node report against
 /// `monitor`'s analytic tail curves, attributing journal events and
 /// counters to replication fold `fold`. Backlog tails are weighted by
@@ -599,175 +403,8 @@ pub fn monitor_single_node_fold(
     merged: &SingleNodeRunReport,
     fold: u64,
 ) -> u64 {
-    let mut violations = 0;
-    for (i, s) in merged.sessions.iter().enumerate() {
-        violations += monitor.check_series(
-            registry,
-            i,
-            SeriesKind::Backlog,
-            &s.backlog.series(),
-            merged.measured_slots,
-            fold,
-        );
-        violations += monitor.check_series(
-            registry,
-            i,
-            SeriesKind::Delay,
-            &s.delay.series(),
-            s.delay.len(),
-            fold,
-        );
-    }
-    violations
-}
-
-/// Network analogue of [`run_single_node_campaign`].
-pub fn run_network_campaign<F>(
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_network_campaign_threads(gps_par::max_threads(), base, replications, make_sources)
-}
-
-/// [`run_network_campaign`] with an explicit worker count.
-pub fn run_network_campaign_threads<F>(
-    threads: usize,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_network_campaign_monitored_threads(threads, base, replications, make_sources, None)
-}
-
-/// Network analogue of [`run_single_node_campaign_chunked_threads`].
-pub fn run_network_campaign_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_network_campaign_monitored_chunked_threads(
-        threads,
-        chunk,
-        base,
-        replications,
-        make_sources,
-        None,
-    )
-}
-
-/// Network analogue of [`run_single_node_campaign_monitored`].
-pub fn run_network_campaign_monitored<F>(
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_network_campaign_monitored_threads(
-        gps_par::max_threads(),
-        base,
-        replications,
-        make_sources,
-        monitor,
-    )
-}
-
-/// [`run_network_campaign_monitored`] with an explicit worker count.
-pub fn run_network_campaign_monitored_threads<F>(
-    threads: usize,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_network_campaign_monitored_chunked_threads(
-        threads,
-        None,
-        base,
-        replications,
-        make_sources,
-        monitor,
-    )
-}
-
-/// The full network campaign: explicit worker count, explicit chunk
-/// size (`None` → [`gps_par::chunk_size`] default), optional online
-/// bound monitor. Every other network campaign entry point funnels into
-/// this one.
-pub fn run_network_campaign_monitored_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    gps_obs::info(
-        "sim.runner",
-        "network_campaign",
-        &[
-            ("replications", replications.into()),
-            ("threads", (threads as u64).into()),
-            ("base_seed", base.seed.into()),
-        ],
-    );
-    let _span = gps_obs::span("sim/network_campaign");
-    gps_obs::global_progress().begin_campaign("network", replications);
-    let reps: Vec<u64> = (0..replications).collect();
-    let reports = gps_par::par_map_indexed_scratch_chunked_threads(
-        threads,
-        chunk,
-        &reps,
-        NetworkScratch::new,
-        |scratch, _, &r| {
-            let mut cfg = base.clone();
-            cfg.seed = base.seed.wrapping_add(r);
-            let mut sources = make_sources(r);
-            let report = run_network_core_scratch(scratch, &mut sources, &cfg);
-            gps_obs::global_progress().add_done(1);
-            report
-        },
-    );
-    for report in &reports {
-        record_network_metrics(gps_obs::metrics(), report);
-    }
-    if let Some(mon) = monitor {
-        let mut merged: Option<NetworkRunReport> = None;
-        for (fold, report) in reports.iter().enumerate() {
-            let _t =
-                gps_obs::trace::scope(gps_obs::TraceKind::MonitorFold, "monitor_fold", fold as u64);
-            let pooled = match merged.take() {
-                None => report.clone(),
-                Some(prev) => merge_network_reports(&[prev, report.clone()]),
-            };
-            monitor_network_fold(mon, gps_obs::metrics(), &pooled, fold as u64);
-            merged = Some(pooled);
-        }
-    }
-    if gps_obs::global().timing_enabled() {
-        gps_obs::global_progress().publish_gauges(gps_obs::metrics());
-    }
-    reports
+    let sessions = merged.sessions.iter().map(|s| (&s.backlog, &s.delay));
+    monitor_sessions(monitor, registry, merged.measured_slots, sessions, fold)
 }
 
 /// Network analogue of [`monitor_single_node_fold`]: checks per-session
@@ -780,196 +417,127 @@ pub fn monitor_network_fold(
     merged: &NetworkRunReport,
     fold: u64,
 ) -> u64 {
+    let sessions = merged.backlog.iter().zip(&merged.delay);
+    monitor_sessions(monitor, registry, merged.measured_slots, sessions, fold)
+}
+
+/// Checks `(backlog, delay)` tails per session: backlog weighted by the
+/// pooled slot count, delay by its own sample count.
+fn monitor_sessions<'a>(
+    monitor: &BoundMonitor,
+    registry: &Registry,
+    slots: u64,
+    sessions: impl Iterator<Item = (&'a BinnedCcdf, &'a BinnedCcdf)>,
+    fold: u64,
+) -> u64 {
     let mut violations = 0;
-    for i in 0..merged.backlog.len() {
-        violations += monitor.check_series(
-            registry,
-            i,
-            SeriesKind::Backlog,
-            &merged.backlog[i].series(),
-            merged.measured_slots,
-            fold,
-        );
-        violations += monitor.check_series(
-            registry,
-            i,
-            SeriesKind::Delay,
-            &merged.delay[i].series(),
-            merged.delay[i].len(),
-            fold,
-        );
+    for (i, (backlog, delay)) in sessions.enumerate() {
+        let (b, d) = (SeriesKind::Backlog, SeriesKind::Delay);
+        violations += monitor.check_series(registry, i, b, &backlog.series(), slots, fold);
+        violations += monitor.check_series(registry, i, d, &delay.series(), delay.len(), fold);
     }
     violations
+}
+
+/// A running pool of single-node replication reports: CCDFs and moments
+/// merge in place and served volume accumulates per session, so pooling
+/// any number of reports holds one report in memory. Pushing reports in
+/// order and calling [`finish`](Self::finish) performs exactly the float
+/// operations of [`merge_single_node_reports`] over the same slice —
+/// that function is built on this type, and so is the memory-bounded
+/// merged campaign fold.
+#[derive(Debug, Clone)]
+pub struct SingleNodePool {
+    pooled: SingleNodeRunReport,
+    volume: Vec<f64>,
+}
+
+impl SingleNodePool {
+    /// Starts a pool from its first report.
+    pub fn new(first: SingleNodeRunReport) -> Self {
+        let volume = first
+            .sessions
+            .iter()
+            .map(|s| s.throughput * first.measured_slots as f64)
+            .collect();
+        Self {
+            pooled: first,
+            volume,
+        }
+    }
+
+    /// Pools one more report. Panics on a mismatched session count.
+    pub fn push(&mut self, report: &SingleNodeRunReport) {
+        assert_eq!(
+            report.sessions.len(),
+            self.pooled.sessions.len(),
+            "mismatched session counts"
+        );
+        let sessions = self.pooled.sessions.iter_mut().zip(&mut self.volume);
+        for ((p, v), s) in sessions.zip(&report.sessions) {
+            p.backlog.merge(&s.backlog);
+            p.delay.merge(&s.delay);
+            p.backlog_moments.merge(&s.backlog_moments);
+            *v += s.throughput * report.measured_slots as f64;
+        }
+        self.pooled.measured_slots += report.measured_slots;
+    }
+
+    /// The pooled report: throughput is served volume over pooled slots.
+    pub fn finish(mut self) -> SingleNodeRunReport {
+        let slots = self.pooled.measured_slots as f64;
+        for (s, v) in self.pooled.sessions.iter_mut().zip(&self.volume) {
+            s.throughput = v / slots;
+        }
+        self.pooled
+    }
 }
 
 /// Merges replication reports into one (CCDFs and moments pooled,
 /// throughput weighted by measured slots, slots summed). Panics on an
 /// empty slice or mismatched session counts.
 pub fn merge_single_node_reports(reports: &[SingleNodeRunReport]) -> SingleNodeRunReport {
-    let first = reports.first().expect("at least one report");
-    let n = first.sessions.len();
-    let total_slots: u64 = reports.iter().map(|r| r.measured_slots).sum();
-    let sessions = (0..n)
-        .map(|i| {
-            let mut backlog = first.sessions[i].backlog.clone();
-            let mut delay = first.sessions[i].delay.clone();
-            let mut moments = first.sessions[i].backlog_moments;
-            let mut volume = first.sessions[i].throughput * first.measured_slots as f64;
-            for r in &reports[1..] {
-                assert_eq!(r.sessions.len(), n, "mismatched session counts");
-                backlog.merge(&r.sessions[i].backlog);
-                delay.merge(&r.sessions[i].delay);
-                moments.merge(&r.sessions[i].backlog_moments);
-                volume += r.sessions[i].throughput * r.measured_slots as f64;
-            }
-            SessionReport {
-                backlog,
-                delay,
-                backlog_moments: moments,
-                throughput: volume / total_slots as f64,
-            }
-        })
-        .collect();
-    SingleNodeRunReport {
-        sessions,
-        measured_slots: total_slots,
+    let (first, rest) = reports.split_first().expect("at least one report");
+    let mut pool = SingleNodePool::new(first.clone());
+    for r in rest {
+        pool.push(r);
     }
+    pool.finish()
 }
 
-/// Memory-bounded single-node campaign for very large replication
-/// counts: instead of materializing all `R` reports, each worker folds
-/// its chunk of replications into one pooled partial report in place,
-/// and the partials are merged in chunk order after the join.
-///
-/// Memory is `O(workers)` reports instead of `O(R)`, which is what makes
-/// million-replication campaigns practical. Determinism contract:
-///
-/// * At a **fixed** explicit `chunk`, the result is byte-identical for
-///   every worker count (chunk boundaries, and therefore the float fold
-///   order, are a pure function of `(replications, chunk)`).
-/// * With `chunk = None` the default chunk depends on the worker count,
-///   so the pooled Welford moments and throughput can differ in the last
-///   bits across thread counts; the pooled CCDF tails are exact `u64`
-///   counts and never differ from [`run_single_node_campaign`] followed
-///   by [`merge_single_node_reports`].
-///
-/// The in-chunk fold reproduces [`merge_single_node_reports`]'s float
-/// operation order over the chunk slice exactly (volume is accumulated
-/// and divided once at chunk end), so a fixed-chunk merged campaign is
-/// bit-identical to merging per-chunk slices of the `Vec` campaign.
-/// Partials are cache-line aligned ([`gps_par::CacheAligned`]) so
-/// adjacent workers never false-share an accumulator line.
-pub fn run_single_node_campaign_merged_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> SingleNodeRunReport
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    assert!(replications > 0, "merged campaign needs >= 1 replication");
-    let workers = threads.max(1);
-    let chunk = chunk
-        .unwrap_or_else(|| gps_par::chunk_size(replications as usize, workers))
-        .max(1);
-    gps_obs::info(
-        "sim.runner",
-        "single_node_campaign_merged",
-        &[
-            ("replications", replications.into()),
-            ("threads", (workers as u64).into()),
-            ("chunk", (chunk as u64).into()),
-            ("base_seed", base.seed.into()),
-        ],
-    );
-    let _span = gps_obs::span("sim/single_node_campaign_merged");
-    gps_obs::global_progress().begin_campaign("single_node_merged", replications);
-    let ranges: Vec<(u64, u64)> = (0..replications)
-        .step_by(chunk)
-        .map(|s| (s, (s + chunk as u64).min(replications)))
-        .collect();
-    let partials = gps_par::par_map_indexed_scratch_threads(
-        threads,
-        &ranges,
-        SingleNodeScratch::new,
-        |scratch, _, &(start, end)| {
-            // Left-fold the chunk in replication order, tracking served
-            // volume separately so the float op order matches
-            // `merge_single_node_reports` over the chunk slice.
-            let mut acc: Option<(SingleNodeRunReport, Vec<f64>)> = None;
-            for r in start..end {
-                let mut cfg = base.clone();
-                cfg.seed = base.seed.wrapping_add(r);
-                let mut sources = make_sources(r);
-                let rep = run_single_node_core_scratch(scratch, &mut sources, &cfg);
-                gps_obs::global_progress().add_done(1);
-                match &mut acc {
-                    None => {
-                        let vol = rep
-                            .sessions
-                            .iter()
-                            .map(|s| s.throughput * rep.measured_slots as f64)
-                            .collect();
-                        acc = Some((rep, vol));
-                    }
-                    Some((merged, vol)) => {
-                        assert_eq!(
-                            rep.sessions.len(),
-                            merged.sessions.len(),
-                            "mismatched session counts"
-                        );
-                        for (i, s) in rep.sessions.iter().enumerate() {
-                            merged.sessions[i].backlog.merge(&s.backlog);
-                            merged.sessions[i].delay.merge(&s.delay);
-                            merged.sessions[i].backlog_moments.merge(&s.backlog_moments);
-                            vol[i] += s.throughput * rep.measured_slots as f64;
-                        }
-                        merged.measured_slots += rep.measured_slots;
-                    }
-                }
-            }
-            let (mut merged, vol) = acc.expect("chunk ranges are non-empty");
-            for (s, v) in merged.sessions.iter_mut().zip(&vol) {
-                s.throughput = v / merged.measured_slots as f64;
-            }
-            gps_par::CacheAligned(merged)
-        },
-    );
-    let partials: Vec<SingleNodeRunReport> = partials.into_iter().map(|c| c.0).collect();
-    let merged = merge_single_node_reports(&partials);
-    record_single_node_metrics(gps_obs::metrics(), &merged);
-    if gps_obs::global().timing_enabled() {
-        gps_obs::global_progress().publish_gauges(gps_obs::metrics());
+impl NetworkRunReport {
+    /// Pools `other` into this report in place: per-session CCDFs merged,
+    /// slots summed. Panics on mismatched session counts.
+    pub fn merge_from(&mut self, other: &NetworkRunReport) {
+        assert_eq!(
+            other.backlog.len(),
+            self.backlog.len(),
+            "mismatched session counts"
+        );
+        for i in 0..self.backlog.len() {
+            self.backlog[i].merge(&other.backlog[i]);
+            self.delay[i].merge(&other.delay[i]);
+        }
+        self.measured_slots += other.measured_slots;
     }
-    merged
 }
 
 /// Merges network replication reports (per-session CCDFs pooled, slots
 /// summed). Panics on an empty slice or mismatched session counts.
 pub fn merge_network_reports(reports: &[NetworkRunReport]) -> NetworkRunReport {
-    let first = reports.first().expect("at least one report");
-    let n = first.backlog.len();
-    let mut backlog = first.backlog.clone();
-    let mut delay = first.delay.clone();
-    for r in &reports[1..] {
-        assert_eq!(r.backlog.len(), n, "mismatched session counts");
-        for i in 0..n {
-            backlog[i].merge(&r.backlog[i]);
-            delay[i].merge(&r.delay[i]);
-        }
+    let (first, rest) = reports.split_first().expect("at least one report");
+    let mut pooled = first.clone();
+    for r in rest {
+        pooled.merge_from(r);
     }
-    NetworkRunReport {
-        backlog,
-        delay,
-        measured_slots: reports.iter().map(|r| r.measured_slots).sum(),
-    }
+    pooled
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
+    use gps_par::Pool;
     use gps_sources::{CbrSource, OnOffSource};
 
     fn grids() -> (Vec<f64>, Vec<f64>) {
@@ -1094,13 +662,17 @@ mod tests {
             backlog_grid: bg,
             delay_grid: dg,
         };
-        let campaign = run_single_node_campaign_threads(3, &base, 4, |_| onoff_sources());
+        let campaign = Campaign::new(Pool::new(3), 4)
+            .run(&base, |_| onoff_sources())
+            .unwrap()
+            .into_reports();
         assert_eq!(campaign.len(), 4);
         for (r, rep) in campaign.iter().enumerate() {
             let mut cfg = base.clone();
             cfg.seed = base.seed + r as u64;
             let mut sources = onoff_sources();
-            let manual = run_single_node_core(&mut sources, &cfg);
+            let manual =
+                run_single_node_core_scratch(&mut SingleNodeScratch::default(), &mut sources, &cfg);
             for i in 0..4 {
                 assert_eq!(
                     rep.sessions[i].backlog.series(),
@@ -1129,7 +701,10 @@ mod tests {
                 Box::new(OnOffSource::new(0.2, 0.4, 0.8)),
             ]
         };
-        let reports = run_single_node_campaign_threads(2, &base, 3, mk);
+        let reports = Campaign::new(Pool::new(2), 3)
+            .run(&base, mk)
+            .unwrap()
+            .into_reports();
         let merged = merge_single_node_reports(&reports);
         assert_eq!(merged.measured_slots, 3_000);
         let want: u64 = reports.iter().map(|r| r.sessions[0].backlog.len()).sum();
@@ -1153,8 +728,14 @@ mod tests {
             backlog_grid: bg,
             delay_grid: dg,
         };
-        let serial = run_network_campaign_threads(1, &base, 3, |_| onoff_sources());
-        let parallel = run_network_campaign_threads(3, &base, 3, |_| onoff_sources());
+        let serial = Campaign::new(Pool::new(1), 3)
+            .run(&base, |_| onoff_sources())
+            .unwrap()
+            .into_reports();
+        let parallel = Campaign::new(Pool::new(3), 3)
+            .run(&base, |_| onoff_sources())
+            .unwrap()
+            .into_reports();
         for (a, b) in serial.iter().zip(&parallel) {
             for i in 0..4 {
                 assert_eq!(a.backlog[i].series(), b.backlog[i].series());
@@ -1178,7 +759,10 @@ mod tests {
             backlog_grid: bg,
             delay_grid: dg,
         };
-        let reports = run_single_node_campaign_threads(2, &base, 2, |_| onoff_sources());
+        let reports = Campaign::new(Pool::new(2), 2)
+            .run(&base, |_| onoff_sources())
+            .unwrap()
+            .into_reports();
         let merged = merge_single_node_reports(&reports);
 
         // A bound claiming essentially zero tail mass must be violated by
@@ -1229,10 +813,16 @@ mod tests {
             backlog_grid: bg,
             delay_grid: dg,
         };
-        let plain = run_network_campaign_threads(2, &base, 2, |_| onoff_sources());
+        let plain = Campaign::new(Pool::new(2), 2)
+            .run(&base, |_| onoff_sources())
+            .unwrap()
+            .into_reports();
         let mon = BoundMonitor::new(vec![SessionCurves::default(); 4]);
-        let monitored =
-            run_network_campaign_monitored_threads(2, &base, 2, |_| onoff_sources(), Some(&mon));
+        let monitored = Campaign::new(Pool::new(2), 2)
+            .monitor(&mon)
+            .run(&base, |_| onoff_sources())
+            .unwrap()
+            .into_reports();
         for (a, b) in plain.iter().zip(&monitored) {
             for i in 0..4 {
                 assert_eq!(a.backlog[i].series(), b.backlog[i].series());

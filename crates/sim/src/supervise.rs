@@ -1,14 +1,16 @@
-//! Supervised campaigns: panic isolation, typed failures, deterministic
-//! retry, and crash-safe checkpoint/resume for the runners in [`runner`].
+//! Campaign supervision: the typed failure taxonomy, the [`Supervisor`]
+//! spec, and the crash-safe checkpoint codec and file that the campaign
+//! funnel ([`crate::campaign`]) runs under.
 //!
-//! A plain campaign ([`runner::run_single_node_campaign`]) re-raises the
-//! first task panic and loses all completed work when the process dies.
-//! The supervised variants here wrap every replication in
-//! [`gps_par::par_try_map_indexed_retry_threads`] so that:
+//! A plain campaign re-raises the first replication panic and loses all
+//! completed work when the process dies. A campaign given a
+//! [`Supervisor`] runs every replication through
+//! [`gps_par::Pool::try_map`] instead, so that:
 //!
 //! * a panicking replication is retried up to [`gps_par::RetryPolicy`]
 //!   attempts with the *same* replication seed (replication `r` always
-//!   uses master seed `base.seed + r`, so a recovered run is
+//!   uses master seed `base.seed + r`, and the pool rebuilds the worker's
+//!   simulator scratch after every caught panic, so a recovered run is
 //!   byte-identical to one that never panicked), then **quarantined** —
 //!   the campaign completes with the surviving replications and the
 //!   quarantined indices are surfaced through `sim.campaign.quarantined`
@@ -40,7 +42,10 @@
 //! Grids are pinned by the fingerprint and therefore omitted from the
 //! report payload; non-finite floats (legal in empty
 //! [`StreamingMoments`] extrema) are encoded as the strings
-//! `"inf"`/`"-inf"`/`"nan"` because JSON has no non-finite numbers.
+//! `"inf"`/`"-inf"`/`"nan"` because JSON has no non-finite numbers. Each
+//! kind's fingerprint and payload codec live in its
+//! [`Replication`](crate::campaign::Replication) impl, built from the
+//! shared encoders here.
 //!
 //! # Fault injection
 //!
@@ -49,19 +54,10 @@
 //! on the first attempt (retry-recovery path). [`PanicInjection`] is also
 //! constructible directly so tests need not race on the environment.
 
-use crate::runner::{
-    merge_network_reports, merge_single_node_reports, monitor_network_fold,
-    monitor_single_node_fold, record_network_metrics, record_single_node_metrics, run_network_core,
-    run_single_node_core, NetworkRunConfig, NetworkRunReport, SessionReport, SingleNodeRunConfig,
-    SingleNodeRunReport,
-};
 use gps_ebb::numeric::NumericError;
 use gps_obs::json::{self, Json};
-use gps_obs::metrics::labeled;
-use gps_obs::monitor::BoundMonitor;
-use gps_par::{RetryPolicy, TaskOutcome, TaskReport};
+use gps_par::RetryPolicy;
 use gps_sources::spectral::ConvergenceError;
-use gps_sources::SlotSource;
 use gps_stats::{BinnedCcdf, StreamingMoments};
 use std::collections::HashMap;
 use std::io::Write;
@@ -249,35 +245,6 @@ impl Supervisor {
         self.inject = inject;
         self
     }
-
-    /// Sets the per-replication streaming hook.
-    pub fn with_on_complete(mut self, hook: OnComplete) -> Self {
-        self.on_complete = Some(hook);
-        self
-    }
-}
-
-/// Result of a supervised campaign: one [`TaskReport`] per replication
-/// (in replication order), plus restore/quarantine accounting.
-#[derive(Debug)]
-pub struct CampaignOutcome<R> {
-    /// Per-replication outcome and attempt count, in replication order.
-    pub tasks: Vec<TaskReport<R, SimError>>,
-    /// Replications restored from the checkpoint instead of recomputed.
-    pub restored: u64,
-    /// Replication indices quarantined after exhausting retries.
-    pub quarantined: Vec<u64>,
-}
-
-impl<R: Clone> CampaignOutcome<R> {
-    /// The completed reports, in replication order (quarantined and
-    /// failed slots omitted).
-    pub fn completed(&self) -> Vec<R> {
-        self.tasks
-            .iter()
-            .filter_map(|t| t.outcome.as_ok().cloned())
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -286,7 +253,7 @@ impl<R: Clone> CampaignOutcome<R> {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(text: &str) -> u64 {
+pub(crate) fn fnv1a(text: &str) -> u64 {
     let mut h = FNV_OFFSET;
     for b in text.as_bytes() {
         h ^= u64::from(*b);
@@ -295,7 +262,7 @@ fn fnv1a(text: &str) -> u64 {
     h
 }
 
-fn push_f64s(out: &mut String, label: &str, values: &[f64]) {
+pub(crate) fn push_f64s(out: &mut String, label: &str, values: &[f64]) {
     out.push_str(label);
     out.push(':');
     for v in values {
@@ -304,49 +271,13 @@ fn push_f64s(out: &mut String, label: &str, values: &[f64]) {
     out.push(';');
 }
 
-/// Fingerprint of a single-node config, excluding the seed (the seed is
-/// stored separately on every checkpoint line so one file can in
-/// principle hold several campaigns of the same shape).
-pub fn fingerprint_single_node(cfg: &SingleNodeRunConfig) -> u64 {
-    let mut s = String::from("single_node;");
-    push_f64s(&mut s, "phis", &cfg.phis);
-    push_f64s(&mut s, "capacity", &[cfg.capacity]);
-    s.push_str(&format!("warmup:{};measure:{};", cfg.warmup, cfg.measure));
-    push_f64s(&mut s, "backlog_grid", &cfg.backlog_grid);
-    push_f64s(&mut s, "delay_grid", &cfg.delay_grid);
-    fnv1a(&s)
-}
-
-/// Network analogue of [`fingerprint_single_node`].
-pub fn fingerprint_network(cfg: &NetworkRunConfig) -> u64 {
-    let mut s = String::from("network;");
-    let topo = &cfg.topology;
-    let rates: Vec<f64> = (0..topo.num_nodes()).map(|m| topo.node_rate(m)).collect();
-    push_f64s(&mut s, "node_rates", &rates);
-    for (i, sess) in topo.sessions().iter().enumerate() {
-        s.push_str(&format!("session{i}:"));
-        for &n in &sess.route {
-            s.push_str(&format!("{n},"));
-        }
-        s.push('|');
-        for p in &sess.phis {
-            s.push_str(&format!("{:016x},", p.to_bits()));
-        }
-        s.push(';');
-    }
-    s.push_str(&format!("warmup:{};measure:{};", cfg.warmup, cfg.measure));
-    push_f64s(&mut s, "backlog_grid", &cfg.backlog_grid);
-    push_f64s(&mut s, "delay_grid", &cfg.delay_grid);
-    fnv1a(&s)
-}
-
 // ---------------------------------------------------------------------
 // Report (de)serialization
 
 /// JSON-encodes an `f64` exactly: finite values round-trip through the
 /// shortest-decimal writer; non-finite values (which `json::fmt_f64`
 /// would flatten to `null`) become tagged strings.
-fn num_to_json(v: f64) -> Json {
+pub(crate) fn num_to_json(v: f64) -> Json {
     if v.is_finite() {
         Json::F64(v)
     } else if v.is_nan() {
@@ -358,7 +289,7 @@ fn num_to_json(v: f64) -> Json {
     }
 }
 
-fn num_from_json(j: &Json) -> Option<f64> {
+pub(crate) fn num_from_json(j: &Json) -> Option<f64> {
     match j {
         Json::Str(s) => match s.as_str() {
             "inf" => Some(f64::INFINITY),
@@ -370,7 +301,7 @@ fn num_from_json(j: &Json) -> Option<f64> {
     }
 }
 
-fn ccdf_to_json(c: &BinnedCcdf) -> Json {
+pub(crate) fn ccdf_to_json(c: &BinnedCcdf) -> Json {
     Json::Obj(vec![
         ("total".to_string(), Json::U64(c.len())),
         (
@@ -380,7 +311,7 @@ fn ccdf_to_json(c: &BinnedCcdf) -> Json {
     ])
 }
 
-fn ccdf_from_json(grid: &[f64], j: &Json) -> Option<BinnedCcdf> {
+pub(crate) fn ccdf_from_json(grid: &[f64], j: &Json) -> Option<BinnedCcdf> {
     let total = j.get("total")?.as_u64()?;
     let Json::Arr(items) = j.get("exceed")? else {
         return None;
@@ -389,7 +320,7 @@ fn ccdf_from_json(grid: &[f64], j: &Json) -> Option<BinnedCcdf> {
     BinnedCcdf::from_parts(grid.to_vec(), exceed?, total)
 }
 
-fn moments_to_json(m: &StreamingMoments) -> Json {
+pub(crate) fn moments_to_json(m: &StreamingMoments) -> Json {
     Json::Obj(vec![
         ("count".to_string(), Json::U64(m.count())),
         ("mean".to_string(), num_to_json(m.mean())),
@@ -399,7 +330,7 @@ fn moments_to_json(m: &StreamingMoments) -> Json {
     ])
 }
 
-fn moments_from_json(j: &Json) -> Option<StreamingMoments> {
+pub(crate) fn moments_from_json(j: &Json) -> Option<StreamingMoments> {
     Some(StreamingMoments::from_parts(
         j.get("count")?.as_u64()?,
         num_from_json(j.get("mean")?)?,
@@ -407,97 +338,6 @@ fn moments_from_json(j: &Json) -> Option<StreamingMoments> {
         num_from_json(j.get("min")?)?,
         num_from_json(j.get("max")?)?,
     ))
-}
-
-/// Checkpoint payload for one single-node replication (grids omitted —
-/// the config fingerprint pins them).
-pub fn single_node_report_to_json(report: &SingleNodeRunReport) -> Json {
-    Json::Obj(vec![
-        (
-            "measured_slots".to_string(),
-            Json::U64(report.measured_slots),
-        ),
-        (
-            "sessions".to_string(),
-            Json::Arr(
-                report
-                    .sessions
-                    .iter()
-                    .map(|s| {
-                        Json::Obj(vec![
-                            ("backlog".to_string(), ccdf_to_json(&s.backlog)),
-                            ("delay".to_string(), ccdf_to_json(&s.delay)),
-                            ("moments".to_string(), moments_to_json(&s.backlog_moments)),
-                            ("throughput".to_string(), num_to_json(s.throughput)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Inverse of [`single_node_report_to_json`]; the grids come from `cfg`.
-/// Returns `None` on any structural mismatch.
-pub fn single_node_report_from_json(
-    cfg: &SingleNodeRunConfig,
-    j: &Json,
-) -> Option<SingleNodeRunReport> {
-    let measured_slots = j.get("measured_slots")?.as_u64()?;
-    let Json::Arr(items) = j.get("sessions")? else {
-        return None;
-    };
-    if items.len() != cfg.phis.len() {
-        return None;
-    }
-    let sessions: Option<Vec<SessionReport>> = items
-        .iter()
-        .map(|s| {
-            Some(SessionReport {
-                backlog: ccdf_from_json(&cfg.backlog_grid, s.get("backlog")?)?,
-                delay: ccdf_from_json(&cfg.delay_grid, s.get("delay")?)?,
-                backlog_moments: moments_from_json(s.get("moments")?)?,
-                throughput: num_from_json(s.get("throughput")?)?,
-            })
-        })
-        .collect();
-    Some(SingleNodeRunReport {
-        sessions: sessions?,
-        measured_slots,
-    })
-}
-
-/// Checkpoint payload for one network replication.
-pub fn network_report_to_json(report: &NetworkRunReport) -> Json {
-    let arr = |ccdfs: &[BinnedCcdf]| Json::Arr(ccdfs.iter().map(ccdf_to_json).collect());
-    Json::Obj(vec![
-        (
-            "measured_slots".to_string(),
-            Json::U64(report.measured_slots),
-        ),
-        ("backlog".to_string(), arr(&report.backlog)),
-        ("delay".to_string(), arr(&report.delay)),
-    ])
-}
-
-/// Inverse of [`network_report_to_json`].
-pub fn network_report_from_json(cfg: &NetworkRunConfig, j: &Json) -> Option<NetworkRunReport> {
-    let measured_slots = j.get("measured_slots")?.as_u64()?;
-    let n = cfg.topology.num_sessions();
-    let decode = |key: &str, grid: &[f64]| -> Option<Vec<BinnedCcdf>> {
-        let Json::Arr(items) = j.get(key)? else {
-            return None;
-        };
-        if items.len() != n {
-            return None;
-        }
-        items.iter().map(|c| ccdf_from_json(grid, c)).collect()
-    };
-    Some(NetworkRunReport {
-        backlog: decode("backlog", &cfg.backlog_grid)?,
-        delay: decode("delay", &cfg.delay_grid)?,
-        measured_slots,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -594,7 +434,7 @@ impl CheckpointFile {
                         if line.trim().is_empty() {
                             continue;
                         }
-                        match Self::decode_line(line, kind, fingerprint, seed) {
+                        match decode_checkpoint_line(line, kind, fingerprint, seed) {
                             Some((r, report)) => {
                                 restored.insert(r, report);
                             }
@@ -640,12 +480,6 @@ impl CheckpointFile {
             },
             restored,
         ))
-    }
-
-    /// Parses one checkpoint line, returning the replication payload when
-    /// the line is well-formed and belongs to this campaign.
-    fn decode_line(line: &str, kind: &str, fingerprint: u64, seed: u64) -> Option<(u64, Json)> {
-        decode_checkpoint_line(line, kind, fingerprint, seed)
     }
 
     /// Appends one completed replication as a full line. Append failures
@@ -747,524 +581,15 @@ impl CheckpointFile {
     }
 }
 
-// ---------------------------------------------------------------------
-// Supervised campaign runners
-
-/// Quarantine/fold bookkeeping shared by both campaign kinds. Restores
-/// are journal-only (no counters) so a resumed run's metrics snapshot is
-/// byte-identical to a straight-through run's; quarantines *do* move
-/// counters — they only occur under real or injected faults. `start`
-/// offsets task indices into absolute replication indices for
-/// range-sharded campaigns.
-fn account_outcomes<R>(
-    campaign: &str,
-    tasks: &[TaskReport<R, SimError>],
-    restored: u64,
-    start: u64,
-) -> Vec<u64> {
-    if restored > 0 {
-        gps_obs::info(
-            "sim.supervise",
-            "replications_restored",
-            &[("campaign", campaign.into()), ("count", restored.into())],
-        );
-    }
-    let mut quarantined = Vec::new();
-    for (i, t) in tasks.iter().enumerate() {
-        let r = start + i as u64;
-        match &t.outcome {
-            TaskOutcome::Ok(_) => {}
-            TaskOutcome::Panicked(message) => {
-                quarantined.push(r);
-                gps_obs::global_progress().add_quarantined(1);
-                let m = gps_obs::metrics();
-                m.counter("sim.campaign.quarantined").inc();
-                let rep = r.to_string();
-                m.counter(&labeled(
-                    "sim.campaign.quarantined",
-                    &[("replication", &rep)],
-                ))
-                .inc();
-                gps_obs::warn(
-                    "sim.supervise",
-                    "replication_quarantined",
-                    &[
-                        ("campaign", campaign.into()),
-                        ("replication", r.into()),
-                        ("attempts", u64::from(t.attempts).into()),
-                        ("message", message.as_str().into()),
-                    ],
-                );
-            }
-            TaskOutcome::Failed(e) => {
-                gps_obs::global_progress().add_done(1);
-                gps_obs::metrics().counter("sim.campaign.failed").inc();
-                gps_obs::warn(
-                    "sim.supervise",
-                    "replication_failed",
-                    &[
-                        ("campaign", campaign.into()),
-                        ("replication", r.into()),
-                        ("error", e.to_string().as_str().into()),
-                    ],
-                );
-            }
-        }
-    }
-    quarantined
-}
-
-/// Rejects single-node reports carrying non-finite statistics (a NaN
-/// escape upstream would otherwise poison merged CSVs silently).
-fn validate_single_node_report(
-    replication: u64,
-    report: &SingleNodeRunReport,
-) -> Result<(), SimError> {
-    for s in &report.sessions {
-        if !s.throughput.is_finite() {
-            return Err(SimError::NonFinite {
-                replication,
-                what: "throughput",
-            });
-        }
-        let m = &s.backlog_moments;
-        if !m.mean().is_finite() || !m.m2().is_finite() {
-            return Err(SimError::NonFinite {
-                replication,
-                what: "backlog_moments",
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Supervised [`runner::run_single_node_campaign`]: panics isolated and
-/// retried per [`Supervisor::retry`], completed replications checkpointed
-/// (and restored when [`Supervisor::resume`]), quarantines surfaced via
-/// counters and warn events. Metrics and monitor folds happen after the
-/// join in replication order over the completed reports, so worker count
-/// and resume state never change the snapshot.
-pub fn run_supervised_single_node_campaign<F>(
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<SingleNodeRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_supervised_single_node_campaign_threads(
-        gps_par::max_threads(),
-        base,
-        replications,
-        make_sources,
-        supervisor,
-        monitor,
-    )
-}
-
-/// [`run_supervised_single_node_campaign`] with an explicit worker count.
-pub fn run_supervised_single_node_campaign_threads<F>(
-    threads: usize,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<SingleNodeRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_supervised_single_node_campaign_chunked_threads(
-        threads,
-        None,
-        base,
-        replications,
-        make_sources,
-        supervisor,
-        monitor,
-    )
-}
-
-/// [`run_supervised_single_node_campaign_threads`] with an explicit
-/// chunk size for the worker task queue (`None` →
-/// [`gps_par::chunk_size`] default). Chunking only shapes scheduling:
-/// restore, retry, and quarantine behavior are identical for every
-/// `(threads, chunk)` combination.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised_single_node_campaign_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<SingleNodeRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_supervised_single_node_campaign_range_chunked_threads(
-        threads,
-        chunk,
-        base,
-        0..replications,
-        make_sources,
-        supervisor,
-        monitor,
-    )
-}
-
-/// [`run_supervised_single_node_campaign_chunked_threads`] over an
-/// arbitrary replication range — the shard engine behind
-/// [`crate::orchestrate`] workers. Replication `r` still uses master
-/// seed `base.seed + r` regardless of where the range starts, so
-/// sharded runs compose into exactly the reports a full local run
-/// produces.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised_single_node_campaign_range_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &SingleNodeRunConfig,
-    range: std::ops::Range<u64>,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<SingleNodeRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    let count = range.end.saturating_sub(range.start);
-    gps_obs::info(
-        "sim.supervise",
-        "single_node_campaign",
-        &[
-            ("replications", count.into()),
-            ("threads", (threads as u64).into()),
-            ("base_seed", base.seed.into()),
-            ("resume", supervisor.resume.into()),
-            (
-                "max_attempts",
-                u64::from(supervisor.retry.max_attempts).into(),
-            ),
-        ],
-    );
-    let _span = gps_obs::span("sim/supervised_single_node_campaign");
-    gps_obs::global_progress().begin_campaign("supervised_single_node", count);
-    let opened = match &supervisor.checkpoint {
-        Some(path) => {
-            let fp = fingerprint_single_node(base);
-            let (ckpt, map) =
-                CheckpointFile::open(path, "single_node", fp, base.seed, supervisor.resume)?;
-            (Some(ckpt), map)
-        }
-        None => (None, HashMap::new()),
-    };
-    let (ckpt, restored_map) = opened;
-    let restored = restored_map
-        .keys()
-        .filter(|&&r| range.contains(&r))
-        .filter(|&r| {
-            // Only count payloads that actually decode; broken ones are
-            // recomputed below.
-            single_node_report_from_json(base, &restored_map[r]).is_some()
-        })
-        .count() as u64;
-    let reps: Vec<u64> = range.clone().collect();
-    let tasks = gps_par::par_try_map_indexed_retry_chunked_threads(
-        threads,
-        chunk,
-        &reps,
-        supervisor.retry,
-        |_, attempt, &r| -> Result<SingleNodeRunReport, SimError> {
-            if let Some(payload) = restored_map.get(&r) {
-                if let Some(report) = single_node_report_from_json(base, payload) {
-                    gps_obs::trace::instant(
-                        gps_obs::TraceKind::CheckpointRestore,
-                        "checkpoint_restore",
-                        r,
-                    );
-                    gps_obs::global_progress().add_restored(1);
-                    return Ok(report);
-                }
-            }
-            if attempt > 1 {
-                gps_obs::global_progress().add_retried(1);
-            }
-            if let Some(inj) = &supervisor.inject {
-                inj.arm(r, attempt);
-            }
-            let mut cfg = base.clone();
-            cfg.seed = base.seed.wrapping_add(r);
-            let mut sources = make_sources(r);
-            let report = run_single_node_core(&mut sources, &cfg);
-            validate_single_node_report(r, &report)?;
-            let payload = if ckpt.is_some() || supervisor.on_complete.is_some() {
-                Some(single_node_report_to_json(&report))
-            } else {
-                None
-            };
-            if let (Some(c), Some(p)) = (&ckpt, &payload) {
-                c.append(r, p.clone());
-            }
-            if let (Some(hook), Some(p)) = (&supervisor.on_complete, &payload) {
-                hook(r, p).map_err(SimError::Checkpoint)?;
-            }
-            gps_obs::global_progress().add_done(1);
-            Ok(report)
-        },
-    );
-    if let Some(c) = &ckpt {
-        // Completed work reaches the platter before the campaign is
-        // reported done.
-        c.sync();
-    }
-    drop(ckpt);
-    for t in &tasks {
-        if let TaskOutcome::Ok(report) = &t.outcome {
-            record_single_node_metrics(gps_obs::metrics(), report);
-        }
-    }
-    let quarantined = account_outcomes("single_node", &tasks, restored, range.start);
-    if let Some(mon) = monitor {
-        let mut merged: Option<SingleNodeRunReport> = None;
-        let mut fold = 0u64;
-        for t in &tasks {
-            let TaskOutcome::Ok(report) = &t.outcome else {
-                continue;
-            };
-            let _t = gps_obs::trace::scope(gps_obs::TraceKind::MonitorFold, "monitor_fold", fold);
-            let pooled = match merged.take() {
-                None => report.clone(),
-                Some(prev) => merge_single_node_reports(&[prev, report.clone()]),
-            };
-            monitor_single_node_fold(mon, gps_obs::metrics(), &pooled, fold);
-            merged = Some(pooled);
-            fold += 1;
-        }
-    }
-    if gps_obs::global().timing_enabled() {
-        gps_obs::global_progress().publish_gauges(gps_obs::metrics());
-    }
-    Ok(CampaignOutcome {
-        tasks,
-        restored,
-        quarantined,
-    })
-}
-
-/// Resume convenience: supervised single-node campaign with
-/// checkpointing at `checkpoint`, resume on, injection from the
-/// environment, and default retry.
-pub fn resume_single_node_campaign<F>(
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    checkpoint: impl Into<PathBuf>,
-) -> Result<CampaignOutcome<SingleNodeRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    let sup = Supervisor::new()
-        .with_checkpoint(checkpoint)
-        .with_resume(true)
-        .with_inject(PanicInjection::from_env());
-    run_supervised_single_node_campaign(base, replications, make_sources, &sup, None)
-}
-
-/// Network analogue of [`run_supervised_single_node_campaign`].
-pub fn run_supervised_network_campaign<F>(
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<NetworkRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_supervised_network_campaign_threads(
-        gps_par::max_threads(),
-        base,
-        replications,
-        make_sources,
-        supervisor,
-        monitor,
-    )
-}
-
-/// [`run_supervised_network_campaign`] with an explicit worker count.
-pub fn run_supervised_network_campaign_threads<F>(
-    threads: usize,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<NetworkRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_supervised_network_campaign_chunked_threads(
-        threads,
-        None,
-        base,
-        replications,
-        make_sources,
-        supervisor,
-        monitor,
-    )
-}
-
-/// Network analogue of
-/// [`run_supervised_single_node_campaign_chunked_threads`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised_network_campaign_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<NetworkRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    gps_obs::info(
-        "sim.supervise",
-        "network_campaign",
-        &[
-            ("replications", replications.into()),
-            ("threads", (threads as u64).into()),
-            ("base_seed", base.seed.into()),
-            ("resume", supervisor.resume.into()),
-            (
-                "max_attempts",
-                u64::from(supervisor.retry.max_attempts).into(),
-            ),
-        ],
-    );
-    let _span = gps_obs::span("sim/supervised_network_campaign");
-    gps_obs::global_progress().begin_campaign("supervised_network", replications);
-    let opened = match &supervisor.checkpoint {
-        Some(path) => {
-            let fp = fingerprint_network(base);
-            let (ckpt, map) =
-                CheckpointFile::open(path, "network", fp, base.seed, supervisor.resume)?;
-            (Some(ckpt), map)
-        }
-        None => (None, HashMap::new()),
-    };
-    let (ckpt, restored_map) = opened;
-    let restored = restored_map
-        .keys()
-        .filter(|&&r| r < replications)
-        .filter(|&r| network_report_from_json(base, &restored_map[r]).is_some())
-        .count() as u64;
-    let reps: Vec<u64> = (0..replications).collect();
-    let tasks = gps_par::par_try_map_indexed_retry_chunked_threads(
-        threads,
-        chunk,
-        &reps,
-        supervisor.retry,
-        |_, attempt, &r| -> Result<NetworkRunReport, SimError> {
-            if let Some(payload) = restored_map.get(&r) {
-                if let Some(report) = network_report_from_json(base, payload) {
-                    gps_obs::trace::instant(
-                        gps_obs::TraceKind::CheckpointRestore,
-                        "checkpoint_restore",
-                        r,
-                    );
-                    gps_obs::global_progress().add_restored(1);
-                    return Ok(report);
-                }
-            }
-            if attempt > 1 {
-                gps_obs::global_progress().add_retried(1);
-            }
-            if let Some(inj) = &supervisor.inject {
-                inj.arm(r, attempt);
-            }
-            let mut cfg = base.clone();
-            cfg.seed = base.seed.wrapping_add(r);
-            let mut sources = make_sources(r);
-            let report = run_network_core(&mut sources, &cfg);
-            let payload = if ckpt.is_some() || supervisor.on_complete.is_some() {
-                Some(network_report_to_json(&report))
-            } else {
-                None
-            };
-            if let (Some(c), Some(p)) = (&ckpt, &payload) {
-                c.append(r, p.clone());
-            }
-            if let (Some(hook), Some(p)) = (&supervisor.on_complete, &payload) {
-                hook(r, p).map_err(SimError::Checkpoint)?;
-            }
-            gps_obs::global_progress().add_done(1);
-            Ok(report)
-        },
-    );
-    if let Some(c) = &ckpt {
-        c.sync();
-    }
-    drop(ckpt);
-    for t in &tasks {
-        if let TaskOutcome::Ok(report) = &t.outcome {
-            record_network_metrics(gps_obs::metrics(), report);
-        }
-    }
-    let quarantined = account_outcomes("network", &tasks, restored, 0);
-    if let Some(mon) = monitor {
-        let mut merged: Option<NetworkRunReport> = None;
-        let mut fold = 0u64;
-        for t in &tasks {
-            let TaskOutcome::Ok(report) = &t.outcome else {
-                continue;
-            };
-            let _t = gps_obs::trace::scope(gps_obs::TraceKind::MonitorFold, "monitor_fold", fold);
-            let pooled = match merged.take() {
-                None => report.clone(),
-                Some(prev) => merge_network_reports(&[prev, report.clone()]),
-            };
-            monitor_network_fold(mon, gps_obs::metrics(), &pooled, fold);
-            merged = Some(pooled);
-            fold += 1;
-        }
-    }
-    if gps_obs::global().timing_enabled() {
-        gps_obs::global_progress().publish_gauges(gps_obs::metrics());
-    }
-    Ok(CampaignOutcome {
-        tasks,
-        restored,
-        quarantined,
-    })
-}
-
-/// Resume convenience for network campaigns (see
-/// [`resume_single_node_campaign`]).
-pub fn resume_network_campaign<F>(
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    checkpoint: impl Into<PathBuf>,
-) -> Result<CampaignOutcome<NetworkRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    let sup = Supervisor::new()
-        .with_checkpoint(checkpoint)
-        .with_resume(true)
-        .with_inject(PanicInjection::from_env());
-    run_supervised_network_campaign(base, replications, make_sources, &sup, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{Campaign, Replication};
+    use crate::runner::run_single_node_core_scratch;
+    use crate::runner::{NetworkRunConfig, SingleNodeRunConfig, SingleNodeRunReport};
+    use gps_par::{Pool, TaskOutcome};
     use gps_sources::OnOffSource;
+    use gps_sources::SlotSource;
 
     fn grids() -> (Vec<f64>, Vec<f64>) {
         let b: Vec<f64> = (0..20).map(|i| i as f64 * 0.5).collect();
@@ -1313,41 +638,38 @@ mod tests {
     fn fingerprint_ignores_seed_but_not_shape() {
         let a = base_cfg(1);
         let b = base_cfg(999);
-        assert_eq!(fingerprint_single_node(&a), fingerprint_single_node(&b));
+        assert_eq!(a.fingerprint(), b.fingerprint());
         let mut c = base_cfg(1);
         c.capacity = 2.0;
-        assert_ne!(fingerprint_single_node(&a), fingerprint_single_node(&c));
+        assert_ne!(a.fingerprint(), c.fingerprint());
         let mut d = base_cfg(1);
         d.backlog_grid.push(100.0);
-        assert_ne!(fingerprint_single_node(&a), fingerprint_single_node(&d));
+        assert_ne!(a.fingerprint(), d.fingerprint());
     }
 
     #[test]
     fn report_json_round_trips_exactly() {
         let cfg = base_cfg(0xAB);
         let mut sources = onoff_sources();
-        let report = run_single_node_core(&mut sources, &cfg);
-        let j = single_node_report_to_json(&report);
+        let report = run_single_node_core_scratch(&mut Default::default(), &mut sources, &cfg);
+        let j = SingleNodeRunConfig::report_to_json(&report);
         let text = j.to_compact();
-        let back = single_node_report_from_json(&cfg, &json::parse(&text).unwrap()).unwrap();
+        let back = cfg.report_from_json(&json::parse(&text).unwrap()).unwrap();
         assert_reports_equal(&report, &back);
     }
 
     #[test]
     fn supervised_matches_plain_campaign() {
         let base = base_cfg(0x5EED);
-        let plain =
-            crate::runner::run_single_node_campaign_threads(2, &base, 3, |_| onoff_sources());
+        let plain = Campaign::new(Pool::new(2), 3)
+            .run(&base, |_| onoff_sources())
+            .unwrap()
+            .into_reports();
         let sup = Supervisor::new();
-        let out = run_supervised_single_node_campaign_threads(
-            2,
-            &base,
-            3,
-            |_| onoff_sources(),
-            &sup,
-            None,
-        )
-        .unwrap();
+        let out = Campaign::new(Pool::new(2), 3)
+            .supervisor(&sup)
+            .run(&base, |_| onoff_sources())
+            .unwrap();
         assert_eq!(out.restored, 0);
         assert!(out.quarantined.is_empty());
         let completed = out.completed();
@@ -1362,27 +684,19 @@ mod tests {
         let base = base_cfg(0xC0);
         let path = temp_path("resume_all");
         let sup = Supervisor::new().with_checkpoint(&path);
-        let first = run_supervised_single_node_campaign_threads(
-            2,
-            &base,
-            4,
-            |_| onoff_sources(),
-            &sup,
-            None,
-        )
-        .unwrap();
+        let first = Campaign::new(Pool::new(2), 4)
+            .supervisor(&sup)
+            .run(&base, |_| onoff_sources())
+            .unwrap();
         assert_eq!(first.restored, 0);
         // Resume: every replication restored, no recomputation — and a
         // poisoned make_sources proves nothing runs.
-        let resumed = run_supervised_single_node_campaign_threads(
-            2,
-            &base,
-            4,
-            |_| -> Vec<Box<dyn SlotSource>> { panic!("must not recompute") },
-            &Supervisor::new().with_checkpoint(&path).with_resume(true),
-            None,
-        )
-        .unwrap();
+        let resumed = Campaign::new(Pool::new(2), 4)
+            .supervisor(&Supervisor::new().with_checkpoint(&path).with_resume(true))
+            .run(&base, |_| -> Vec<Box<dyn SlotSource>> {
+                panic!("must not recompute")
+            })
+            .unwrap();
         assert_eq!(resumed.restored, 4);
         for (a, b) in first.completed().iter().zip(&resumed.completed()) {
             assert_reports_equal(a, b);
@@ -1395,15 +709,10 @@ mod tests {
         let base = base_cfg(0xD1);
         let path = temp_path("truncated");
         let sup = Supervisor::new().with_checkpoint(&path);
-        let straight = run_supervised_single_node_campaign_threads(
-            1,
-            &base,
-            4,
-            |_| onoff_sources(),
-            &sup,
-            None,
-        )
-        .unwrap();
+        let straight = Campaign::new(Pool::new(1), 4)
+            .supervisor(&sup)
+            .run(&base, |_| onoff_sources())
+            .unwrap();
         // Kill mid-write: keep two full lines plus half of the third.
         let content = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = content.lines().collect();
@@ -1415,29 +724,21 @@ mod tests {
             &lines[2][..lines[2].len() / 2]
         );
         std::fs::write(&path, truncated).unwrap();
-        let resumed = run_supervised_single_node_campaign_threads(
-            2,
-            &base,
-            4,
-            |_| onoff_sources(),
-            &Supervisor::new().with_checkpoint(&path).with_resume(true),
-            None,
-        )
-        .unwrap();
+        let resumed = Campaign::new(Pool::new(2), 4)
+            .supervisor(&Supervisor::new().with_checkpoint(&path).with_resume(true))
+            .run(&base, |_| onoff_sources())
+            .unwrap();
         assert_eq!(resumed.restored, 2);
         for (a, b) in straight.completed().iter().zip(&resumed.completed()) {
             assert_reports_equal(a, b);
         }
         // The repaired file now restores all four.
-        let again = run_supervised_single_node_campaign_threads(
-            1,
-            &base,
-            4,
-            |_| -> Vec<Box<dyn SlotSource>> { panic!("must not recompute") },
-            &Supervisor::new().with_checkpoint(&path).with_resume(true),
-            None,
-        )
-        .unwrap();
+        let again = Campaign::new(Pool::new(1), 4)
+            .supervisor(&Supervisor::new().with_checkpoint(&path).with_resume(true))
+            .run(&base, |_| -> Vec<Box<dyn SlotSource>> {
+                panic!("must not recompute")
+            })
+            .unwrap();
         assert_eq!(again.restored, 4);
         std::fs::remove_file(&path).ok();
     }
@@ -1447,20 +748,17 @@ mod tests {
         let base = base_cfg(0xE2);
         let path = temp_path("stale");
         let sup = Supervisor::new().with_checkpoint(&path);
-        run_supervised_single_node_campaign_threads(1, &base, 2, |_| onoff_sources(), &sup, None)
+        Campaign::new(Pool::new(1), 2)
+            .supervisor(&sup)
+            .run(&base, |_| onoff_sources())
             .unwrap();
         // Same file, different config shape: nothing restorable.
         let mut other = base_cfg(0xE2);
         other.capacity = 2.0;
-        let resumed = run_supervised_single_node_campaign_threads(
-            1,
-            &other,
-            2,
-            |_| onoff_sources(),
-            &Supervisor::new().with_checkpoint(&path).with_resume(true),
-            None,
-        )
-        .unwrap();
+        let resumed = Campaign::new(Pool::new(1), 2)
+            .supervisor(&Supervisor::new().with_checkpoint(&path).with_resume(true))
+            .run(&other, |_| onoff_sources())
+            .unwrap();
         assert_eq!(resumed.restored, 0);
         std::fs::remove_file(&path).ok();
     }
@@ -1472,15 +770,10 @@ mod tests {
             replication: 2,
             once: false,
         }));
-        let out = run_supervised_single_node_campaign_threads(
-            2,
-            &base,
-            5,
-            |_| onoff_sources(),
-            &sup,
-            None,
-        )
-        .unwrap();
+        let out = Campaign::new(Pool::new(2), 5)
+            .supervisor(&sup)
+            .run(&base, |_| onoff_sources())
+            .unwrap();
         assert_eq!(out.quarantined, vec![2]);
         assert_eq!(out.completed().len(), 4);
         assert!(matches!(
@@ -1495,28 +788,18 @@ mod tests {
     #[test]
     fn transient_injection_recovers_byte_identically() {
         let base = base_cfg(0x1234);
-        let clean = run_supervised_single_node_campaign_threads(
-            1,
-            &base,
-            4,
-            |_| onoff_sources(),
-            &Supervisor::new(),
-            None,
-        )
-        .unwrap();
+        let clean = Campaign::new(Pool::new(1), 4)
+            .supervisor(&Supervisor::new())
+            .run(&base, |_| onoff_sources())
+            .unwrap();
         let sup = Supervisor::new().with_inject(Some(PanicInjection {
             replication: 1,
             once: true,
         }));
-        let out = run_supervised_single_node_campaign_threads(
-            2,
-            &base,
-            4,
-            |_| onoff_sources(),
-            &sup,
-            None,
-        )
-        .unwrap();
+        let out = Campaign::new(Pool::new(2), 4)
+            .supervisor(&sup)
+            .run(&base, |_| onoff_sources())
+            .unwrap();
         assert!(out.quarantined.is_empty());
         assert_eq!(out.tasks[1].attempts, 2);
         for (a, b) in clean.completed().iter().zip(&out.completed()) {
@@ -1561,18 +844,16 @@ mod tests {
         };
         let path = temp_path("network");
         let sup = Supervisor::new().with_checkpoint(&path);
-        let first =
-            run_supervised_network_campaign_threads(2, &base, 3, |_| onoff_sources(), &sup, None)
-                .unwrap();
-        let resumed = run_supervised_network_campaign_threads(
-            2,
-            &base,
-            3,
-            |_| -> Vec<Box<dyn SlotSource>> { panic!("must not recompute") },
-            &Supervisor::new().with_checkpoint(&path).with_resume(true),
-            None,
-        )
-        .unwrap();
+        let first = Campaign::new(Pool::new(2), 3)
+            .supervisor(&sup)
+            .run(&base, |_| onoff_sources())
+            .unwrap();
+        let resumed = Campaign::new(Pool::new(2), 3)
+            .supervisor(&Supervisor::new().with_checkpoint(&path).with_resume(true))
+            .run(&base, |_| -> Vec<Box<dyn SlotSource>> {
+                panic!("must not recompute")
+            })
+            .unwrap();
         assert_eq!(resumed.restored, 3);
         for (a, b) in first.completed().iter().zip(&resumed.completed()) {
             assert_eq!(a.measured_slots, b.measured_slots);

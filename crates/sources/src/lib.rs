@@ -3,7 +3,7 @@
 //! The paper evaluates its bounds on **discrete-time two-state on-off
 //! Markov sources** (Section 6.3, Table 1), characterized as E.B.B.
 //! processes "using the results for discrete time two-state on-off Markov
-//! processes in [LNT94]". This crate rebuilds that machinery from scratch
+//! processes in \[LNT94\]". This crate rebuilds that machinery from scratch
 //! and generalizes it:
 //!
 //! * [`markov::MarkovSource`] — general finite-state discrete-time

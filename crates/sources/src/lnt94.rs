@@ -1,5 +1,5 @@
 //! E.B.B. characterizations of Markov-modulated sources à la
-//! Liu–Nain–Towsley ([LNT94]) and Buffet–Duffield ([BD94]) — the results
+//! Liu–Nain–Towsley (\[LNT94\]) and Buffet–Duffield (\[BD94\]) — the results
 //! the paper cites to populate Table 2 and to draw the "improved bounds" of
 //! Figure 4.
 //!

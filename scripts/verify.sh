@@ -30,6 +30,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
+echo "==> cargo doc (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+
 # Live telemetry server + flight recorder: run a tiny campaign with the
 # exporter on an ephemeral port and tracing armed, and verify /metrics,
 # /metrics.json, /health, the live /progress tracker, the scheduler

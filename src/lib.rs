@@ -53,15 +53,14 @@ pub mod prelude {
     };
     pub use gps_ebb::{DeltaTailBound, EbProcess, EbbProcess, TailBound, TimeModel};
     pub use gps_netcalc::{rpps_network_bounds, AffineCurve, LatencyRate};
+    pub use gps_par::Pool;
+    pub use gps_sim::campaign::{Campaign, CampaignOutcome, Fold, Replication};
     pub use gps_sim::ct_runner::{run_ct_fluid, CtRunConfig};
     pub use gps_sim::runner::{
-        merge_network_reports, merge_single_node_reports, run_network, run_network_campaign,
-        run_single_node, run_single_node_campaign, NetworkRunConfig, SingleNodeRunConfig,
+        merge_network_reports, merge_single_node_reports, run_network, run_single_node,
+        NetworkRunConfig, SingleNodeRunConfig,
     };
-    pub use gps_sim::supervise::{
-        resume_network_campaign, resume_single_node_campaign, run_supervised_network_campaign,
-        run_supervised_single_node_campaign, CampaignOutcome, PanicInjection, SimError, Supervisor,
-    };
+    pub use gps_sim::supervise::{PanicInjection, SimError, Supervisor};
     pub use gps_sim::{
         FaultySource, FifoServer, FluidGps, Packet, PgpsServer, PriorityServer, SlottedGps,
         SlottedGpsNetwork,

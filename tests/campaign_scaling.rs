@@ -14,12 +14,7 @@
 use gps_obs::metrics::Registry;
 use gps_par::TaskOutcome;
 use gps_qos::prelude::*;
-use gps_sim::runner::{
-    record_single_node_metrics, run_network_campaign_chunked_threads,
-    run_single_node_campaign_chunked_threads, run_single_node_campaign_merged_threads,
-    run_single_node_campaign_threads, NetworkRunReport, SingleNodeRunReport,
-};
-use gps_sim::supervise::run_supervised_single_node_campaign_chunked_threads;
+use gps_sim::runner::{record_single_node_metrics, NetworkRunReport, SingleNodeRunReport};
 use gps_sources::SlotSource;
 use std::path::{Path, PathBuf};
 
@@ -103,19 +98,19 @@ fn single_node_metrics_json(reports: &[SingleNodeRunReport]) -> String {
 #[test]
 fn single_node_campaign_is_identical_across_threads_and_chunks() {
     let base = single_node_config();
-    let baseline = run_single_node_campaign_threads(1, &base, REPLICATIONS, |_| make_sources());
+    let baseline = Campaign::new(Pool::new(1), REPLICATIONS)
+        .run(&base, |_| make_sources())
+        .unwrap()
+        .into_reports();
     let baseline_rows: Vec<Vec<String>> = baseline.iter().map(single_node_csv_rows).collect();
     let baseline_metrics = single_node_metrics_json(&baseline);
 
     for threads in THREAD_COUNTS {
         for chunk in chunk_sweep() {
-            let reports = run_single_node_campaign_chunked_threads(
-                threads,
-                chunk,
-                &base,
-                REPLICATIONS,
-                |_| make_sources(),
-            );
+            let reports = Campaign::new(Pool { threads, chunk }, REPLICATIONS)
+                .run(&base, |_| make_sources())
+                .unwrap()
+                .into_reports();
             assert_eq!(reports.len() as u64, REPLICATIONS);
             for (r, rep) in reports.iter().enumerate() {
                 assert_eq!(
@@ -136,16 +131,24 @@ fn single_node_campaign_is_identical_across_threads_and_chunks() {
 #[test]
 fn network_campaign_is_identical_across_threads_and_chunks() {
     let base = network_config();
-    let baseline =
-        run_network_campaign_chunked_threads(1, Some(1), &base, REPLICATIONS, |_| make_sources());
+    let baseline = Campaign::new(
+        Pool {
+            threads: 1,
+            chunk: Some(1),
+        },
+        REPLICATIONS,
+    )
+    .run(&base, |_| make_sources())
+    .unwrap()
+    .into_reports();
     let baseline_rows: Vec<Vec<String>> = baseline.iter().map(network_csv_rows).collect();
 
     for threads in THREAD_COUNTS {
         for chunk in chunk_sweep() {
-            let reports =
-                run_network_campaign_chunked_threads(threads, chunk, &base, REPLICATIONS, |_| {
-                    make_sources()
-                });
+            let reports = Campaign::new(Pool { threads, chunk }, REPLICATIONS)
+                .run(&base, |_| make_sources())
+                .unwrap()
+                .into_reports();
             assert_eq!(reports.len() as u64, REPLICATIONS);
             for (r, rep) in reports.iter().enumerate() {
                 assert_eq!(
@@ -161,15 +164,32 @@ fn network_campaign_is_identical_across_threads_and_chunks() {
 #[test]
 fn merged_campaign_is_thread_invariant_at_fixed_chunk() {
     let base = single_node_config();
-    let baseline = run_single_node_campaign_merged_threads(1, Some(2), &base, REPLICATIONS, |_| {
-        make_sources()
-    });
+    let baseline = Campaign::new(
+        Pool {
+            threads: 1,
+            chunk: Some(2),
+        },
+        REPLICATIONS,
+    )
+    .merged()
+    .run(&base, |_| make_sources())
+    .unwrap()
+    .merged
+    .expect("merged fold");
     let baseline_rows = single_node_csv_rows(&baseline);
     for threads in THREAD_COUNTS {
-        let merged =
-            run_single_node_campaign_merged_threads(threads, Some(2), &base, REPLICATIONS, |_| {
-                make_sources()
-            });
+        let merged = Campaign::new(
+            Pool {
+                threads,
+                chunk: Some(2),
+            },
+            REPLICATIONS,
+        )
+        .merged()
+        .run(&base, |_| make_sources())
+        .unwrap()
+        .merged
+        .expect("merged fold");
         assert_eq!(
             single_node_csv_rows(&merged),
             baseline_rows,
@@ -181,15 +201,26 @@ fn merged_campaign_is_thread_invariant_at_fixed_chunk() {
 #[test]
 fn merged_campaign_ccdf_counts_match_vec_campaign_at_any_chunk() {
     let base = single_node_config();
-    let reports = run_single_node_campaign_threads(1, &base, REPLICATIONS, |_| make_sources());
+    let reports = Campaign::new(Pool::new(1), REPLICATIONS)
+        .run(&base, |_| make_sources())
+        .unwrap()
+        .into_reports();
     let pooled = merge_single_node_reports(&reports);
     // The pooled CCDF tails are ratios of exact u64 counts; they cannot
     // depend on how replications were grouped into chunks.
     for chunk in [1usize, 2, 4, REPLICATIONS as usize] {
-        let merged =
-            run_single_node_campaign_merged_threads(4, Some(chunk), &base, REPLICATIONS, |_| {
-                make_sources()
-            });
+        let merged = Campaign::new(
+            Pool {
+                threads: 4,
+                chunk: Some(chunk),
+            },
+            REPLICATIONS,
+        )
+        .merged()
+        .run(&base, |_| make_sources())
+        .unwrap()
+        .merged
+        .expect("merged fold");
         assert_eq!(merged.measured_slots, pooled.measured_slots);
         for (i, (a, b)) in merged.sessions.iter().zip(&pooled.sessions).enumerate() {
             assert_eq!(a.backlog.len(), b.backlog.len(), "session {i} backlog n");
@@ -242,7 +273,10 @@ fn truncate_checkpoint(path: &Path, keep: usize) {
 #[test]
 fn supervised_resume_is_chunk_invariant() {
     let base = single_node_config();
-    let baseline = run_single_node_campaign_threads(1, &base, REPLICATIONS, |_| make_sources());
+    let baseline = Campaign::new(Pool::new(1), REPLICATIONS)
+        .run(&base, |_| make_sources())
+        .unwrap()
+        .into_reports();
     let baseline_rows: Vec<Vec<String>> = baseline.iter().map(single_node_csv_rows).collect();
 
     for (tag, chunk) in [("c1", Some(1)), ("cd", None), ("call", Some(6))] {
@@ -251,26 +285,20 @@ fn supervised_resume_is_chunk_invariant() {
         let sup = Supervisor::new().with_checkpoint(&ckpt).with_resume(true);
         // First pass writes the checkpoint; then crash it mid-line and
         // resume with a *different* chunk size than the first pass.
-        run_supervised_single_node_campaign_chunked_threads(
-            2,
-            chunk,
-            &base,
-            REPLICATIONS,
-            |_| make_sources(),
-            &sup,
-            None,
-        )
-        .expect("first pass");
+        Campaign::new(Pool { threads: 2, chunk }, REPLICATIONS)
+            .supervisor(&sup)
+            .run(&base, |_| make_sources())
+            .expect("first pass");
         truncate_checkpoint(&ckpt, 3);
-        let outcome = run_supervised_single_node_campaign_chunked_threads(
-            4,
-            Some(2),
-            &base,
+        let outcome = Campaign::new(
+            Pool {
+                threads: 4,
+                chunk: Some(2),
+            },
             REPLICATIONS,
-            |_| make_sources(),
-            &sup,
-            None,
         )
+        .supervisor(&sup)
+        .run(&base, |_| make_sources())
         .expect("resumed pass");
         assert_eq!(
             outcome.restored, 3,
@@ -292,7 +320,10 @@ fn supervised_resume_is_chunk_invariant() {
 #[test]
 fn supervised_retry_and_quarantine_are_chunk_invariant() {
     let base = single_node_config();
-    let baseline = run_single_node_campaign_threads(1, &base, REPLICATIONS, |_| make_sources());
+    let baseline = Campaign::new(Pool::new(1), REPLICATIONS)
+        .run(&base, |_| make_sources())
+        .unwrap()
+        .into_reports();
     let baseline_rows: Vec<Vec<String>> = baseline.iter().map(single_node_csv_rows).collect();
 
     for chunk in chunk_sweep() {
@@ -302,16 +333,10 @@ fn supervised_retry_and_quarantine_are_chunk_invariant() {
             replication: 2,
             once: true,
         }));
-        let outcome = run_supervised_single_node_campaign_chunked_threads(
-            4,
-            chunk,
-            &base,
-            REPLICATIONS,
-            |_| make_sources(),
-            &sup,
-            None,
-        )
-        .expect("transient campaign");
+        let outcome = Campaign::new(Pool { threads: 4, chunk }, REPLICATIONS)
+            .supervisor(&sup)
+            .run(&base, |_| make_sources())
+            .expect("transient campaign");
         assert!(outcome.quarantined.is_empty(), "chunk={chunk:?}");
         let retried = &outcome.tasks[2];
         assert_eq!(retried.attempts, 2, "chunk={chunk:?}: one retry expected");
@@ -331,16 +356,10 @@ fn supervised_retry_and_quarantine_are_chunk_invariant() {
             replication: 4,
             once: false,
         }));
-        let outcome = run_supervised_single_node_campaign_chunked_threads(
-            4,
-            chunk,
-            &base,
-            REPLICATIONS,
-            |_| make_sources(),
-            &sup,
-            None,
-        )
-        .expect("permanent campaign");
+        let outcome = Campaign::new(Pool { threads: 4, chunk }, REPLICATIONS)
+            .supervisor(&sup)
+            .run(&base, |_| make_sources())
+            .expect("permanent campaign");
         assert_eq!(outcome.quarantined, vec![4], "chunk={chunk:?}");
         assert!(
             matches!(outcome.tasks[4].outcome, TaskOutcome::Panicked(_)),
@@ -382,15 +401,24 @@ fn merged_campaign_smoke_scale_parallel_not_slower_than_serial() {
         delay_grid: (0..8).map(|i| i as f64).collect(),
     };
     let reps: u64 = 100_000;
-    let threads = gps_par::max_threads().max(2);
+    let threads = Pool::from_env().threads.max(2);
 
     let t0 = std::time::Instant::now();
-    let serial = run_single_node_campaign_merged_threads(1, None, &base, reps, |_| make_sources());
+    let serial = Campaign::new(Pool::new(1), reps)
+        .merged()
+        .run(&base, |_| make_sources())
+        .unwrap()
+        .merged
+        .expect("merged fold");
     let serial_elapsed = t0.elapsed();
 
     let t1 = std::time::Instant::now();
-    let parallel =
-        run_single_node_campaign_merged_threads(threads, None, &base, reps, |_| make_sources());
+    let parallel = Campaign::new(Pool::new(threads), reps)
+        .merged()
+        .run(&base, |_| make_sources())
+        .unwrap()
+        .merged
+        .expect("merged fold");
     let parallel_elapsed = t1.elapsed();
 
     assert_eq!(serial.measured_slots, reps * base.measure);

@@ -87,8 +87,7 @@ fn same_master_seed_is_bit_identical() {
 use gps_obs::metrics::Registry;
 use gps_sim::runner::{
     merge_network_reports, merge_single_node_reports, record_network_metrics,
-    record_single_node_metrics, run_network_campaign_threads, run_single_node_campaign_threads,
-    NetworkRunReport,
+    record_single_node_metrics, NetworkRunReport,
 };
 
 fn make_sources() -> Vec<Box<dyn SlotSource>> {
@@ -136,8 +135,14 @@ fn parallel_single_node_campaign_matches_serial_byte_for_byte() {
         c.measure = 8_000;
         c
     };
-    let serial = run_single_node_campaign_threads(1, &base, 6, |_r| make_sources());
-    let parallel = run_single_node_campaign_threads(4, &base, 6, |_r| make_sources());
+    let serial = Campaign::new(Pool::new(1), 6)
+        .run(&base, |_r| make_sources())
+        .unwrap()
+        .into_reports();
+    let parallel = Campaign::new(Pool::new(4), 6)
+        .run(&base, |_r| make_sources())
+        .unwrap()
+        .into_reports();
 
     // Byte-identical CSV rows from the merged reports.
     let ms = merge_single_node_reports(&serial);
@@ -170,8 +175,14 @@ fn parallel_network_campaign_matches_serial_byte_for_byte() {
         backlog_grid: (0..40).map(|i| i as f64 * 0.5).collect(),
         delay_grid: (0..40).map(|i| i as f64).collect(),
     };
-    let serial = run_network_campaign_threads(1, &base, 5, |_r| make_sources());
-    let parallel = run_network_campaign_threads(3, &base, 5, |_r| make_sources());
+    let serial = Campaign::new(Pool::new(1), 5)
+        .run(&base, |_r| make_sources())
+        .unwrap()
+        .into_reports();
+    let parallel = Campaign::new(Pool::new(3), 5)
+        .run(&base, |_r| make_sources())
+        .unwrap()
+        .into_reports();
 
     let ms = merge_network_reports(&serial);
     let mp = merge_network_reports(&parallel);

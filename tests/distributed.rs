@@ -18,13 +18,10 @@ use gps_sim::orchestrate::{
     LeaseReply, LocalTransport, SubmitReply, WorkerOptions, WorkerScenario, KIND_SINGLE_NODE,
 };
 use gps_sim::runner::{
-    merge_single_node_reports, record_single_node_metrics, run_single_node_core,
+    merge_single_node_reports, record_single_node_metrics, run_single_node_core_scratch,
     SingleNodeRunReport,
 };
-use gps_sim::supervise::{
-    checkpoint_line, fingerprint_single_node, run_supervised_single_node_campaign,
-    single_node_report_to_json, Supervisor,
-};
+use gps_sim::supervise::{checkpoint_line, Supervisor};
 use gps_sources::SlotSource;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -116,14 +113,10 @@ fn metrics_json(report: &SingleNodeRunReport) -> String {
 /// The canonical single-process result every distributed variant must
 /// reproduce byte-for-byte.
 fn straight_through() -> SingleNodeRunReport {
-    let outcome = run_supervised_single_node_campaign(
-        &config(),
-        REPLICATIONS,
-        |_r| make_sources(),
-        &Supervisor::new(),
-        None,
-    )
-    .expect("straight-through campaign");
+    let outcome = Campaign::new(Pool::from_env(), REPLICATIONS)
+        .supervisor(&Supervisor::new())
+        .run(&config(), |_r| make_sources())
+        .expect("straight-through campaign");
     assert_eq!(outcome.completed().len(), REPLICATIONS as usize);
     merge_single_node_reports(&outcome.completed())
 }
@@ -135,13 +128,13 @@ fn line_for(r: u64) -> String {
     let mut cfg_r = cfg.clone();
     cfg_r.seed = cfg.seed.wrapping_add(r);
     let mut sources = make_sources();
-    let report = run_single_node_core(&mut sources, &cfg_r);
+    let report = run_single_node_core_scratch(&mut Default::default(), &mut sources, &cfg_r);
     checkpoint_line(
         KIND_SINGLE_NODE,
-        fingerprint_single_node(&cfg),
+        cfg.fingerprint(),
         cfg.seed,
         r,
-        &single_node_report_to_json(&report),
+        &SingleNodeRunConfig::report_to_json(&report),
     )
 }
 
@@ -419,4 +412,43 @@ fn http_transport_completes_campaign_through_backpressure() {
     assert_identical("http", &expected, &c.merged().expect("merged"));
     drop(c);
     server.shutdown();
+}
+
+/// A replication quarantined inside a multi-replication shard is
+/// reported by its own index, not by the shard's first.
+#[test]
+fn quarantined_replication_is_reported_by_its_own_index() {
+    let spec = CampaignSpec {
+        shard_size: 3,
+        ..spec()
+    };
+    let coordinator = Arc::new(Mutex::new(
+        Coordinator::new(spec, &coordinator_config()).expect("coordinator"),
+    ));
+    // Shard [3, 6): replication 5 = start + 2 panics on every build.
+    let resolve = |name: &str| {
+        (name == SCENARIO).then(|| WorkerScenario {
+            cfg: config(),
+            make_sources: Arc::new(|r| {
+                assert!(r != 5, "make_sources fails for replication 5");
+                make_sources()
+            }),
+        })
+    };
+    let err = run_worker(
+        LocalTransport::new(Arc::clone(&coordinator)),
+        &worker_opts("w-quarantine"),
+        resolve,
+    )
+    .expect_err("the shard holding replication 5 cannot complete");
+    match err {
+        SimError::Panicked {
+            replication,
+            message,
+        } => {
+            assert_eq!(replication, 5, "reported index is start + 2");
+            assert!(message.contains("replication 5"), "{message}");
+        }
+        other => panic!("expected a quarantined replication, got {other:?}"),
+    }
 }

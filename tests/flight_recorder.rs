@@ -9,7 +9,9 @@
 //!
 //! The trace mode is process-global, so the tests serialize on a lock.
 
-use gps_sim::runner::{run_single_node_campaign_chunked_threads, SingleNodeRunConfig};
+use gps_par::Pool;
+use gps_sim::campaign::Campaign;
+use gps_sim::runner::SingleNodeRunConfig;
 use gps_sources::{OnOffSource, SlotSource};
 use std::sync::Mutex;
 
@@ -49,7 +51,10 @@ fn counts_digest_is_schedule_invariant_for_campaigns() {
     let mut exports = Vec::new();
     for (threads, chunk) in [(1usize, Some(1usize)), (1, None), (4, Some(1)), (4, None)] {
         gps_obs::trace::reset();
-        let reports = run_single_node_campaign_chunked_threads(threads, chunk, &cfg, 6, sources);
+        let reports = Campaign::new(Pool { threads, chunk }, 6)
+            .run(&cfg, sources)
+            .unwrap()
+            .into_reports();
         assert_eq!(reports.len(), 6);
         exports.push(gps_obs::trace::export_json("flight_recorder").expect("counts export"));
     }
@@ -87,7 +92,10 @@ fn timing_trace_nests_properly_per_lane() {
     gps_obs::trace::configure(gps_obs::TraceMode::Timing);
     gps_obs::trace::reset();
     let cfg = config();
-    let reports = run_single_node_campaign_chunked_threads(4, None, &cfg, 8, sources);
+    let reports = Campaign::new(Pool::new(4), 8)
+        .run(&cfg, sources)
+        .unwrap()
+        .into_reports();
     assert_eq!(reports.len(), 8);
     let json = gps_obs::trace::export_json("flight_recorder").expect("timing export");
     gps_obs::trace::configure(gps_obs::TraceMode::Off);

@@ -11,7 +11,6 @@ use gps_obs::to_prometheus_text;
 use gps_qos::prelude::*;
 use gps_sim::runner::{
     merge_single_node_reports, monitor_single_node_fold, record_single_node_metrics,
-    run_single_node_campaign_monitored_threads, run_single_node_campaign_threads,
 };
 use gps_sources::SlotSource;
 
@@ -37,8 +36,14 @@ fn make_sources() -> Vec<Box<dyn SlotSource>> {
 #[test]
 fn prometheus_exposition_is_thread_count_invariant() {
     let base = paper_config(0x0B5);
-    let serial = run_single_node_campaign_threads(1, &base, 4, |_r| make_sources());
-    let parallel = run_single_node_campaign_threads(4, &base, 4, |_r| make_sources());
+    let serial = Campaign::new(Pool::new(1), 4)
+        .run(&base, |_r| make_sources())
+        .unwrap()
+        .into_reports();
+    let parallel = Campaign::new(Pool::new(4), 4)
+        .run(&base, |_r| make_sources())
+        .unwrap()
+        .into_reports();
 
     let render = |reports: &[gps_sim::runner::SingleNodeRunReport]| {
         let reg = Registry::new();
@@ -65,8 +70,11 @@ fn monitor_fires_on_forced_violation_fixture() {
         4
     ]);
     let base = paper_config(0xF1);
-    let reports =
-        run_single_node_campaign_monitored_threads(2, &base, 2, |_r| make_sources(), Some(&tight));
+    let reports = Campaign::new(Pool::new(2), 2)
+        .monitor(&tight)
+        .run(&base, |_r| make_sources())
+        .unwrap()
+        .into_reports();
 
     // The campaign path records into the global registry.
     let snap = gps_obs::metrics().snapshot();
@@ -113,7 +121,10 @@ fn monitor_silent_on_paper_theorem10_configuration() {
     let monitor = BoundMonitor::new(curves);
 
     let base = paper_config(7);
-    let reports = run_single_node_campaign_threads(2, &base, 4, |_r| make_sources());
+    let reports = Campaign::new(Pool::new(2), 4)
+        .run(&base, |_r| make_sources())
+        .unwrap()
+        .into_reports();
 
     // Check every prefix fold the way the monitored campaign does.
     let reg = Registry::new();

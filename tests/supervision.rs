@@ -16,10 +16,7 @@ use gps_sim::runner::{
     merge_network_reports, merge_single_node_reports, record_network_metrics,
     record_single_node_metrics, NetworkRunReport, SingleNodeRunReport,
 };
-use gps_sim::supervise::{
-    run_supervised_network_campaign_threads, run_supervised_single_node_campaign_threads,
-    PanicInjection, Supervisor,
-};
+use gps_sim::supervise::{PanicInjection, Supervisor};
 use gps_sources::SlotSource;
 use std::path::{Path, PathBuf};
 
@@ -129,15 +126,10 @@ fn killed_and_resumed_single_node_campaign_is_byte_identical() {
     let base = single_node_config();
 
     // Straight-through baseline (serial, no checkpoint).
-    let baseline = run_supervised_single_node_campaign_threads(
-        1,
-        &base,
-        REPLICATIONS,
-        |_r| make_sources(),
-        &Supervisor::new(),
-        None,
-    )
-    .expect("baseline campaign");
+    let baseline = Campaign::new(Pool::new(1), REPLICATIONS)
+        .supervisor(&Supervisor::new())
+        .run(&base, |_r| make_sources())
+        .expect("baseline campaign");
     assert_eq!(baseline.restored, 0);
     assert!(baseline.quarantined.is_empty());
     let baseline_reports = baseline.completed();
@@ -149,28 +141,18 @@ fn killed_and_resumed_single_node_campaign_is_byte_identical() {
 
         // Full checkpointed run, then simulate a crash that tears the
         // fourth checkpoint line mid-append.
-        run_supervised_single_node_campaign_threads(
-            threads,
-            &base,
-            REPLICATIONS,
-            |_r| make_sources(),
-            &Supervisor::new().with_checkpoint(&ckpt),
-            None,
-        )
-        .expect("checkpointed campaign");
+        Campaign::new(Pool::new(threads), REPLICATIONS)
+            .supervisor(&Supervisor::new().with_checkpoint(&ckpt))
+            .run(&base, |_r| make_sources())
+            .expect("checkpointed campaign");
         truncate_checkpoint(&ckpt, 3);
 
         // Resume: the three intact lines restore, the torn one and the
         // missing tail recompute.
-        let resumed = run_supervised_single_node_campaign_threads(
-            threads,
-            &base,
-            REPLICATIONS,
-            |_r| make_sources(),
-            &Supervisor::new().with_checkpoint(&ckpt).with_resume(true),
-            None,
-        )
-        .expect("resumed campaign");
+        let resumed = Campaign::new(Pool::new(threads), REPLICATIONS)
+            .supervisor(&Supervisor::new().with_checkpoint(&ckpt).with_resume(true))
+            .run(&base, |_r| make_sources())
+            .expect("resumed campaign");
         assert_eq!(
             resumed.restored, 3,
             "threads {threads}: torn line must not restore"
@@ -196,41 +178,26 @@ fn killed_and_resumed_single_node_campaign_is_byte_identical() {
 fn killed_and_resumed_network_campaign_is_byte_identical() {
     let base = network_config();
 
-    let baseline = run_supervised_network_campaign_threads(
-        1,
-        &base,
-        REPLICATIONS,
-        |_r| make_sources(),
-        &Supervisor::new(),
-        None,
-    )
-    .expect("baseline campaign");
+    let baseline = Campaign::new(Pool::new(1), REPLICATIONS)
+        .supervisor(&Supervisor::new())
+        .run(&base, |_r| make_sources())
+        .expect("baseline campaign");
     let baseline_reports = baseline.completed();
     let baseline_rows = network_csv_rows(&merge_network_reports(&baseline_reports));
     let baseline_metrics = network_metrics_json(&baseline_reports);
 
     for threads in [1usize, 4] {
         let ckpt = temp_ckpt(&format!("network_kill_t{threads}"));
-        run_supervised_network_campaign_threads(
-            threads,
-            &base,
-            REPLICATIONS,
-            |_r| make_sources(),
-            &Supervisor::new().with_checkpoint(&ckpt),
-            None,
-        )
-        .expect("checkpointed campaign");
+        Campaign::new(Pool::new(threads), REPLICATIONS)
+            .supervisor(&Supervisor::new().with_checkpoint(&ckpt))
+            .run(&base, |_r| make_sources())
+            .expect("checkpointed campaign");
         truncate_checkpoint(&ckpt, 3);
 
-        let resumed = run_supervised_network_campaign_threads(
-            threads,
-            &base,
-            REPLICATIONS,
-            |_r| make_sources(),
-            &Supervisor::new().with_checkpoint(&ckpt).with_resume(true),
-            None,
-        )
-        .expect("resumed campaign");
+        let resumed = Campaign::new(Pool::new(threads), REPLICATIONS)
+            .supervisor(&Supervisor::new().with_checkpoint(&ckpt).with_resume(true))
+            .run(&base, |_r| make_sources())
+            .expect("resumed campaign");
         assert_eq!(resumed.restored, 3);
 
         let reports = resumed.completed();
@@ -251,30 +218,20 @@ fn killed_and_resumed_network_campaign_is_byte_identical() {
 #[test]
 fn transient_panic_retries_to_byte_identical_output() {
     let base = single_node_config();
-    let clean = run_supervised_single_node_campaign_threads(
-        1,
-        &base,
-        REPLICATIONS,
-        |_r| make_sources(),
-        &Supervisor::new(),
-        None,
-    )
-    .expect("clean campaign");
+    let clean = Campaign::new(Pool::new(1), REPLICATIONS)
+        .supervisor(&Supervisor::new())
+        .run(&base, |_r| make_sources())
+        .expect("clean campaign");
     let clean_reports = clean.completed();
 
     for threads in [1usize, 4] {
-        let faulted = run_supervised_single_node_campaign_threads(
-            threads,
-            &base,
-            REPLICATIONS,
-            |_r| make_sources(),
-            &Supervisor::new().with_inject(Some(PanicInjection {
+        let faulted = Campaign::new(Pool::new(threads), REPLICATIONS)
+            .supervisor(&Supervisor::new().with_inject(Some(PanicInjection {
                 replication: 2,
                 once: true,
-            })),
-            None,
-        )
-        .expect("faulted campaign");
+            })))
+            .run(&base, |_r| make_sources())
+            .expect("faulted campaign");
         assert!(faulted.quarantined.is_empty(), "transient panic recovered");
         assert_eq!(faulted.tasks[2].attempts, 2, "replication 2 was retried");
 
@@ -295,18 +252,13 @@ fn transient_panic_retries_to_byte_identical_output() {
 #[test]
 fn permanent_panic_quarantines_and_campaign_completes() {
     let base = single_node_config();
-    let outcome = run_supervised_single_node_campaign_threads(
-        2,
-        &base,
-        REPLICATIONS,
-        |_r| make_sources(),
-        &Supervisor::new().with_inject(Some(PanicInjection {
+    let outcome = Campaign::new(Pool::new(2), REPLICATIONS)
+        .supervisor(&Supervisor::new().with_inject(Some(PanicInjection {
             replication: 4,
             once: false,
-        })),
-        None,
-    )
-    .expect("campaign with permanent fault");
+        })))
+        .run(&base, |_r| make_sources())
+        .expect("campaign with permanent fault");
     assert_eq!(outcome.quarantined, vec![4]);
     let reports = outcome.completed();
     assert_eq!(reports.len() as u64, REPLICATIONS - 1);
@@ -317,4 +269,112 @@ fn permanent_panic_quarantines_and_campaign_completes() {
         base.measure * (REPLICATIONS - 1),
         "merged report covers exactly the surviving replications"
     );
+}
+
+/// Wraps a source and panics on its `after`-th slot: a replication that
+/// dies partway through the measure loop, leaving the worker's simulator
+/// scratch half-stepped.
+struct PanicMidRun {
+    inner: Box<dyn SlotSource>,
+    after: u64,
+}
+
+impl SlotSource for PanicMidRun {
+    fn next_slot(&mut self, rng: &mut dyn gps_stats::rng::RngCore) -> f64 {
+        self.after -= 1;
+        assert!(self.after > 0, "injected mid-run panic");
+        self.inner.next_slot(rng)
+    }
+    fn mean_rate(&self) -> f64 {
+        self.inner.mean_rate()
+    }
+    fn peak_rate(&self) -> Option<f64> {
+        self.inner.peak_rate()
+    }
+    fn reset(&mut self, rng: &mut dyn gps_stats::rng::RngCore) {
+        self.inner.reset(rng);
+    }
+}
+
+/// Sources whose first build for replication 2 panics halfway through
+/// the measure loop; every later build (the retry) is clean.
+fn panicking_once_at_rep2(slots: u64) -> impl Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync {
+    let armed = std::sync::atomic::AtomicBool::new(true);
+    move |r| {
+        let mut sources = make_sources();
+        if r == 2 && armed.swap(false, std::sync::atomic::Ordering::Relaxed) {
+            let inner = sources.remove(0);
+            sources.insert(
+                0,
+                Box::new(PanicMidRun {
+                    inner,
+                    after: slots,
+                }),
+            );
+        }
+        sources
+    }
+}
+
+#[test]
+fn mid_run_panic_retries_on_rebuilt_scratch_single_node() {
+    let base = single_node_config();
+    let clean = Campaign::new(Pool::new(1), REPLICATIONS)
+        .supervisor(&Supervisor::new())
+        .run(&base, |_r| make_sources())
+        .expect("clean campaign")
+        .into_reports();
+    // One worker drains every replication as one chunk, so the retry of
+    // replication 2 runs on the same worker that panicked mid-measure.
+    let pool = Pool {
+        threads: 1,
+        chunk: Some(REPLICATIONS as usize),
+    };
+    let faulted = Campaign::new(pool, REPLICATIONS)
+        .supervisor(&Supervisor::new())
+        .run(
+            &base,
+            panicking_once_at_rep2(base.warmup + base.measure / 2),
+        )
+        .expect("faulted campaign");
+    assert_eq!(faulted.tasks[2].attempts, 2);
+    assert!(faulted.quarantined.is_empty());
+    let reports = faulted.into_reports();
+    assert_eq!(
+        single_node_csv_rows(&merge_single_node_reports(&reports)),
+        single_node_csv_rows(&merge_single_node_reports(&clean))
+    );
+    assert_eq!(
+        single_node_metrics_json(&reports),
+        single_node_metrics_json(&clean)
+    );
+}
+
+#[test]
+fn mid_run_panic_retries_on_rebuilt_scratch_network() {
+    let base = network_config();
+    let clean = Campaign::new(Pool::new(1), REPLICATIONS)
+        .supervisor(&Supervisor::new())
+        .run(&base, |_r| make_sources())
+        .expect("clean campaign")
+        .into_reports();
+    let pool = Pool {
+        threads: 1,
+        chunk: Some(REPLICATIONS as usize),
+    };
+    let faulted = Campaign::new(pool, REPLICATIONS)
+        .supervisor(&Supervisor::new())
+        .run(
+            &base,
+            panicking_once_at_rep2(base.warmup + base.measure / 2),
+        )
+        .expect("faulted campaign");
+    assert_eq!(faulted.tasks[2].attempts, 2);
+    assert!(faulted.quarantined.is_empty());
+    let reports = faulted.into_reports();
+    assert_eq!(
+        network_csv_rows(&merge_network_reports(&reports)),
+        network_csv_rows(&merge_network_reports(&clean))
+    );
+    assert_eq!(network_metrics_json(&reports), network_metrics_json(&clean));
 }
