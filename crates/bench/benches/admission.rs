@@ -135,9 +135,12 @@ fn main() {
     });
 
     // HTTP path: the same warm engine behind the exporter front end with
-    // request telemetry armed — the full admitd stack (parse, dispatch,
-    // engine, counters + HDR latency) per decision, on keep-alive
-    // loopback connections.
+    // request telemetry armed — socket, head parse, dispatch, engine
+    // decision, and counters + HDR latency per decision, on keep-alive
+    // loopback connections. This is not the whole admitd request: the
+    // handler skips admitd's per-request `publish` of the engine gauges
+    // (and its class validation). gpsbench's `admit_eb` workload times
+    // the real admitd end to end (gpsbench/README.md).
     let registry = Registry::new();
     let http_engine = Arc::new(Mutex::new(warm_template.clone()));
     let handler: RouteHandler = {

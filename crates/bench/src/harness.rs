@@ -144,6 +144,35 @@ fn utc_date_today() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
+/// The host a run was measured on, as a JSON object: `nproc`, the CPU
+/// model from `/proc/cpuinfo` and `rustc -V` (the `$RUSTC` compiler when
+/// set), each `"unknown"` when it cannot be read. Numbers from hosts
+/// that differ here are not comparable.
+fn host_json() -> String {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let rustc = std::process::Command::new(std::env::var("RUSTC").unwrap_or("rustc".into()))
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    format!(
+        "{{\"nproc\": {}, \"cpu_model\": \"{}\", \"rustc\": \"{}\"}}",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        json_escape(&cpu_model),
+        json_escape(&rustc)
+    )
+}
+
 /// The directory bench JSON lands in: `GPS_RESULTS_DIR` when set, else the
 /// workspace-level `results/` next to the crates.
 fn results_dir() -> PathBuf {
@@ -297,15 +326,17 @@ impl BenchHarness {
     }
 
     /// One dated NDJSON ledger line summarizing this run: date, suite,
-    /// and the median/p10/p90 of every bench. Appended to
+    /// host stamp (`nproc`, CPU model, `rustc -V`), and the
+    /// median/p10/p90 of every bench. Appended to
     /// `results/bench_history.ndjson` by [`finish`](Self::finish) so the
     /// pinned `bench_<suite>.json` snapshots keep a queryable trail of
     /// when each number was produced and what it replaced.
     pub fn history_line(&self) -> String {
         let mut line = format!(
-            "{{\"date\": \"{}\", \"suite\": \"{}\", \"benches\": [",
+            "{{\"date\": \"{}\", \"suite\": \"{}\", \"host\": {}, \"benches\": [",
             utc_date_today(),
-            json_escape(&self.suite)
+            json_escape(&self.suite),
+            host_json()
         );
         for (k, r) in self.results.iter().enumerate() {
             if k > 0 {
@@ -452,6 +483,14 @@ mod tests {
         assert_eq!(date.len(), 10);
         assert_eq!(date.as_bytes()[4], b'-');
         assert_eq!(date.as_bytes()[7], b'-');
+        // Stamped with the host it ran on.
+        let doc = gps_obs::json::parse(&line).expect("ledger line is JSON");
+        let host = doc.get("host").expect("host field");
+        assert!(host.get("nproc").and_then(|v| v.as_u64()).unwrap_or(0) >= 1);
+        for field in ["cpu_model", "rustc"] {
+            let v = host.get(field).and_then(|v| v.as_str());
+            assert!(v.is_some_and(|v| !v.is_empty()), "host.{field}: {v:?}");
+        }
 
         // Appending twice yields two ledger lines.
         let dir = std::env::temp_dir().join(format!("gps_bench_hist_{}", std::process::id()));

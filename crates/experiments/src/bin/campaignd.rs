@@ -22,8 +22,9 @@
 //! Robustness surfaces:
 //!
 //! * crash recovery — every accepted result lands in
-//!   `results/campaignd_<scenario>_checkpoint.ndjson`; sealed shards are
-//!   compacted durably (write-temp + fsync + atomic rename). `--resume`
+//!   `results/campaignd_<scenario>_checkpoint.ndjson`, an append-only
+//!   journal that each sealed shard makes durable with one `fdatasync`
+//!   (see `gps_sim::orchestrate`). `--resume`
 //!   restores the journal after a coordinator crash and recomputes
 //!   nothing that survived.
 //! * backpressure — more than `--http-inflight` concurrently executing

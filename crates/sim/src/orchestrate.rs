@@ -25,7 +25,10 @@
 //! * **complete** (`POST /complete?shard=N&token=T`) — the worker claims
 //!   the shard is fully delivered; the coordinator verifies every
 //!   replication of the shard is present before sealing it ([`CompleteReply::Incomplete`]
-//!   otherwise) and makes the journal durable.
+//!   otherwise). The journal is append-only — `submit` appends each
+//!   accepted line after dedup — so sealing a [`CoordinatorConfig::durable`]
+//!   shard is one `fdatasync` ([`CheckpointFile`] says why that survives
+//!   power loss).
 //!
 //! # Lease state machine
 //!
@@ -114,9 +117,10 @@ pub struct CoordinatorConfig {
     /// When true, an existing journal's replications are restored (the
     /// coordinator-restart path); when false a stale journal is removed.
     pub resume: bool,
-    /// When true, sealing a shard durably rewrites the journal
-    /// (temp + fsync + atomic rename, duplicates compacted) so completed
-    /// shards survive power loss, not just process death.
+    /// When true, sealing a shard makes the journal's appended lines
+    /// durable (one `fdatasync`, plus one directory `fsync` the first
+    /// time), so completed shards survive power loss; when false, they
+    /// survive process death only and a seal never syncs.
     pub durable: bool,
 }
 
@@ -553,19 +557,10 @@ impl Coordinator {
         gps_obs::metrics()
             .counter("orchestrate.shards.completed")
             .inc();
-        if self.durable {
-            if let Some(j) = &self.journal {
-                // Shard completion records must survive power loss, not
-                // just process death: durable compacting rewrite.
-                if let Err(e) = j.rewrite_durable(&self.completed) {
-                    gps_obs::warn(
-                        "sim.orchestrate",
-                        "journal_rewrite_failed",
-                        &[("error", e.to_string().as_str().into())],
-                    );
-                }
-            }
-        } else if let Some(j) = &self.journal {
+        // Every line of the shard is already appended (submit_line
+        // journals each new replication once, after dedup; restored ones
+        // are never re-appended), so sealing only makes them durable.
+        if let Some(j) = self.journal.as_ref().filter(|_| self.durable) {
             j.sync();
         }
     }

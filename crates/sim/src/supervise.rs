@@ -62,6 +62,7 @@ use gps_stats::{BinnedCcdf, StreamingMoments};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::faults::FaultConfigError;
@@ -390,17 +391,20 @@ pub fn decode_checkpoint_line(
     Some((r, report))
 }
 
-/// Open NDJSON checkpoint: appends are single `write_all`s of complete
-/// lines under one mutex, so a crash can only truncate the final line.
-/// [`rewrite_durable`](Self::rewrite_durable) additionally offers
-/// write-to-temp + fsync + atomic-rename compaction for records that
-/// must survive power loss, not just process death. Used for local
-/// campaign checkpoints and as the coordinator journal in
-/// [`crate::orchestrate`].
+/// Append-only NDJSON checkpoint: appends are single `write_all`s of
+/// complete lines under one mutex, so a crash can only truncate the
+/// final line, and [`open`](Self::open) skips and newline-terminates
+/// such a torn tail. [`sync`](Self::sync) makes every line appended so
+/// far survive power loss, not just process death: one `fdatasync` of
+/// the append handle, plus one `fsync` of the parent directory on the
+/// first call. Synced bytes are never rewritten, so only the unsynced
+/// tail can tear. Used for local campaign checkpoints and as the
+/// coordinator journal in [`crate::orchestrate`].
 #[derive(Debug)]
 pub struct CheckpointFile {
     path: PathBuf,
     file: Mutex<std::fs::File>,
+    dir_synced: AtomicBool,
     kind: String,
     fingerprint: u64,
     seed: u64,
@@ -474,6 +478,7 @@ impl CheckpointFile {
             Self {
                 path: path.to_path_buf(),
                 file: Mutex::new(file),
+                dir_synced: AtomicBool::new(false),
                 kind: kind.to_string(),
                 fingerprint,
                 seed,
@@ -512,72 +517,31 @@ impl CheckpointFile {
         }
     }
 
-    /// Flushes appended lines to stable storage (`fsync`). Failures are
-    /// warn-only, like [`append`](Self::append).
+    /// Makes every line appended so far durable: `fdatasync` of the
+    /// append handle and, on the first successful call, `fsync` of the
+    /// parent directory, so the file's creation (and the removal of a
+    /// stale file by a fresh [`open`](Self::open)) is durable before any
+    /// synced record is relied on. Failures are warn-only, like
+    /// [`append`](Self::append); a failed directory sync is retried on
+    /// the next call.
     pub fn sync(&self) {
         let file = self.file.lock().expect("checkpoint mutex poisoned");
-        if let Err(e) = file.sync_data() {
+        let mut result = file.sync_data();
+        if result.is_ok() && !self.dir_synced.load(Ordering::Relaxed) {
+            let dir = match self.path.parent() {
+                Some(d) if !d.as_os_str().is_empty() => d,
+                _ => Path::new("."),
+            };
+            result = std::fs::File::open(dir).and_then(|d| d.sync_all());
+            self.dir_synced.store(result.is_ok(), Ordering::Relaxed);
+        }
+        if let Err(e) = result {
             gps_obs::warn(
                 "sim.supervise",
                 "checkpoint_sync_failed",
                 &[("error", e.to_string().as_str().into())],
             );
         }
-    }
-
-    /// Durably replaces the file's contents with `entries` (ascending
-    /// replication order): write to a sibling temp file, `fsync` it,
-    /// atomically rename over the checkpoint, and `fsync` the directory,
-    /// so a power cut leaves either the old complete file or the new
-    /// complete file — never a torn mix. Also compacts duplicate lines
-    /// accumulated by at-least-once delivery. The append handle is
-    /// reopened on the new file, so later [`append`](Self::append)s land
-    /// after the rewritten records.
-    pub fn rewrite_durable(
-        &self,
-        entries: &std::collections::BTreeMap<u64, Json>,
-    ) -> Result<(), SimError> {
-        let io_err = |what: &str, e: std::io::Error| {
-            SimError::Checkpoint(format!("{what} {}: {e}", self.path.display()))
-        };
-        let mut text = String::new();
-        for (r, report) in entries {
-            text.push_str(&checkpoint_line(
-                &self.kind,
-                self.fingerprint,
-                self.seed,
-                *r,
-                report,
-            ));
-            text.push('\n');
-        }
-        let mut tmp_name = self.path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = PathBuf::from(tmp_name);
-        // Hold the append lock across the swap so no line lands in the
-        // doomed pre-rename inode.
-        let mut file = self.file.lock().expect("checkpoint mutex poisoned");
-        {
-            let mut f = std::fs::File::create(&tmp).map_err(|e| io_err("create temp for", e))?;
-            f.write_all(text.as_bytes())
-                .map_err(|e| io_err("write temp for", e))?;
-            f.sync_all().map_err(|e| io_err("fsync temp for", e))?;
-        }
-        std::fs::rename(&tmp, &self.path).map_err(|e| io_err("rename into", e))?;
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                // Make the rename itself durable.
-                std::fs::File::open(dir)
-                    .and_then(|d| d.sync_all())
-                    .map_err(|e| io_err("fsync dir of", e))?;
-            }
-        }
-        *file = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&self.path)
-            .map_err(|e| io_err("reopen", e))?;
-        Ok(())
     }
 }
 
@@ -885,50 +849,31 @@ mod tests {
     }
 
     #[test]
-    fn durable_rewrite_is_atomic_ordered_and_appendable() {
-        let path = std::path::PathBuf::from(format!(
-            "results/_test_durable_rewrite_{}.ndjson",
-            std::process::id()
-        ));
-        std::fs::remove_file(&path).ok();
+    fn appends_before_and_after_sync_all_restore() {
+        let path = temp_path("sync_append");
         let (ckpt, restored) =
             CheckpointFile::open(&path, "single_node", 0xabcd, 7, false).expect("open checkpoint");
         assert!(restored.is_empty());
-        // Simulate at-least-once delivery: appends arrive out of order
-        // and with a duplicate.
         ckpt.append(2, Json::U64(22));
         ckpt.append(0, Json::U64(10));
-        ckpt.append(2, Json::U64(22));
-        ckpt.append(1, Json::U64(11));
-        let entries: std::collections::BTreeMap<u64, Json> =
-            [(0, Json::U64(10)), (1, Json::U64(11)), (2, Json::U64(22))]
-                .into_iter()
-                .collect();
-        ckpt.rewrite_durable(&entries).expect("durable rewrite");
-        // The rewrite compacted duplicates into ascending order...
-        let content = std::fs::read_to_string(&path).unwrap();
-        let reps: Vec<u64> = content
-            .lines()
-            .map(|l| {
-                decode_checkpoint_line(l, "single_node", 0xabcd, 7)
-                    .expect("line decodes")
-                    .0
-            })
-            .collect();
-        assert_eq!(reps, vec![0, 1, 2]);
-        // ...left no temp file behind...
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        assert!(!std::path::Path::new(&tmp_name).exists());
-        // ...and appends keep landing on the renamed file, not the old
-        // inode.
-        ckpt.append(3, Json::U64(33));
         ckpt.sync();
+        let synced = std::fs::read(&path).unwrap();
+        // Syncing appends nothing and rewrites nothing; later appends
+        // extend the synced bytes, and a second sync is just as inert.
+        ckpt.append(1, Json::U64(11));
+        ckpt.sync();
+        ckpt.append(3, Json::U64(33));
         drop(ckpt);
+        let content = std::fs::read(&path).unwrap();
+        assert!(content.starts_with(&synced));
+        assert_eq!(String::from_utf8(content).unwrap().lines().count(), 4);
         let (_ckpt2, restored) =
             CheckpointFile::open(&path, "single_node", 0xabcd, 7, true).expect("reopen checkpoint");
-        assert_eq!(restored.len(), 4);
-        assert_eq!(restored[&3], Json::U64(33));
+        let expected: HashMap<u64, Json> = [(0, 10), (1, 11), (2, 22), (3, 33)]
+            .into_iter()
+            .map(|(r, v)| (r, Json::U64(v)))
+            .collect();
+        assert_eq!(restored, expected);
         std::fs::remove_file(&path).ok();
     }
 

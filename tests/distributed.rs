@@ -21,7 +21,7 @@ use gps_sim::runner::{
     merge_single_node_reports, record_single_node_metrics, run_single_node_core_scratch,
     SingleNodeRunReport,
 };
-use gps_sim::supervise::{checkpoint_line, Supervisor};
+use gps_sim::supervise::{checkpoint_line, decode_checkpoint_line, Supervisor};
 use gps_sources::SlotSource;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -267,6 +267,193 @@ fn coordinator_restart_resumes_journal_and_output_identical() {
     let c = coordinator.lock().unwrap();
     assert!(c.is_done());
     assert_identical("restart", &expected, &c.merged().expect("merged"));
+    std::fs::remove_file(&journal).ok();
+}
+
+/// The coordinator journal at `path`, as raw bytes.
+fn journal_bytes(path: &std::path::Path) -> Vec<u8> {
+    std::fs::read(path).expect("read journal")
+}
+
+/// Completes `shard` under `token` and checks the journal only grew:
+/// the bytes after the previous seal (`prev`) are a prefix of the bytes
+/// just before this one, which are a prefix of the bytes after it.
+fn seal_appends_only(
+    c: &mut Coordinator,
+    path: &std::path::Path,
+    prev: &mut Vec<u8>,
+    shard: u64,
+    token: u64,
+) {
+    let before = journal_bytes(path);
+    assert!(before.starts_with(prev), "shard {shard}: journal rewritten");
+    assert_eq!(c.complete(shard, token), CompleteReply::Complete);
+    let after = journal_bytes(path);
+    assert!(
+        after.starts_with(&before),
+        "shard {shard}: sealing rewrote journal bytes"
+    );
+    *prev = after;
+}
+
+fn lease_shard(c: &mut Coordinator, worker: &str) -> (u64, u64) {
+    match c.lease(worker) {
+        LeaseReply::Shard { shard, token, .. } => (shard, token),
+        other => panic!("{worker} expected a shard, got {other:?}"),
+    }
+}
+
+#[test]
+fn journal_is_append_only_and_exact() {
+    let expected = straight_through();
+    let journal = std::env::temp_dir().join(format!(
+        "gps_distributed_it_append_only_{}.ndjson",
+        std::process::id()
+    ));
+    std::fs::remove_file(&journal).ok();
+    let journaled = |resume: bool| CoordinatorConfig {
+        lease_patience: 3,
+        journal: Some(PathBuf::from(&journal)),
+        resume,
+        durable: true,
+        ..coordinator_config()
+    };
+    let lines: Vec<String> = (0..REPLICATIONS).map(line_for).collect();
+    let shard_lines = |s: u64| &lines[(s * SHARD_SIZE) as usize..((s + 1) * SHARD_SIZE) as usize];
+    let mut accepted_bytes = 0usize;
+    let mut submit = |c: &mut Coordinator, line: &String, want: SubmitReply| {
+        assert_eq!(c.submit_line(line), want);
+        if want == SubmitReply::Accepted {
+            accepted_bytes += line.len() + 1;
+        }
+    };
+    let mut prev = Vec::new();
+    {
+        let mut c = Coordinator::new(spec(), &journaled(false)).expect("coordinator");
+        // w0 delivers shard 0 and dies before completing it; w1 leases
+        // the rest and takes shard 0 over, redelivering its lines.
+        let (first, _) = lease_shard(&mut c, "w0");
+        for line in shard_lines(first) {
+            submit(&mut c, line, SubmitReply::Accepted);
+        }
+        let mut others = Vec::new();
+        let mut takeover = None;
+        for _ in 0..50 {
+            match c.lease("w1") {
+                LeaseReply::Shard {
+                    shard,
+                    token,
+                    takeover: true,
+                    ..
+                } => {
+                    takeover = Some((shard, token));
+                    break;
+                }
+                LeaseReply::Shard { shard, token, .. } => others.push((shard, token)),
+                LeaseReply::Wait => {}
+                LeaseReply::Done => panic!("campaign cannot be done yet"),
+            }
+        }
+        let (reshard, token) = takeover.expect("w0's lease never expired");
+        assert_eq!(reshard, first);
+        for line in shard_lines(first) {
+            submit(&mut c, line, SubmitReply::Duplicate);
+        }
+        seal_appends_only(&mut c, &journal, &mut prev, first, token);
+        // w1 seals its first own shard, delivered out of order (plus one
+        // stray duplicate), then delivers part of its second before the
+        // coordinator dies.
+        let (s1, t1) = others[0];
+        for line in shard_lines(s1).iter().rev() {
+            submit(&mut c, line, SubmitReply::Accepted);
+        }
+        submit(&mut c, &lines[0], SubmitReply::Duplicate);
+        seal_appends_only(&mut c, &journal, &mut prev, s1, t1);
+        let (s2, _) = others[1];
+        submit(&mut c, &shard_lines(s2)[0], SubmitReply::Accepted);
+        prev = journal_bytes(&journal);
+    }
+    // Restart: resuming reads the journal and appends nothing for the
+    // restored lines.
+    let mut c = Coordinator::new(spec(), &journaled(true)).expect("resumed coordinator");
+    assert_eq!(c.stats().restored, 2 * SHARD_SIZE + 1);
+    assert_eq!(journal_bytes(&journal), prev, "resume rewrote the journal");
+    let (s2, t2) = lease_shard(&mut c, "w2");
+    assert_eq!(s2, 2);
+    submit(&mut c, &shard_lines(s2)[0], SubmitReply::Duplicate);
+    for line in &shard_lines(s2)[1..] {
+        submit(&mut c, line, SubmitReply::Accepted);
+    }
+    seal_appends_only(&mut c, &journal, &mut prev, s2, t2);
+    assert!(c.is_done());
+    // Exactly one decodable line per replication, and not a byte more
+    // than the accepted lines themselves.
+    let text = String::from_utf8(prev).expect("journal is UTF-8");
+    let mut journaled_reps: Vec<u64> = text
+        .lines()
+        .map(|l| {
+            decode_checkpoint_line(l, KIND_SINGLE_NODE, config().fingerprint(), config().seed)
+                .expect("every journal line decodes")
+                .0
+        })
+        .collect();
+    journaled_reps.sort_unstable();
+    assert_eq!(journaled_reps, (0..REPLICATIONS).collect::<Vec<_>>());
+    assert_eq!(text.len(), accepted_bytes);
+    assert_identical("append-only", &expected, &c.merged().expect("merged"));
+    std::fs::remove_file(&journal).ok();
+}
+
+#[test]
+fn torn_tail_after_a_seal_resumes_identical() {
+    let expected = straight_through();
+    let journal = std::env::temp_dir().join(format!(
+        "gps_distributed_it_torn_{}.ndjson",
+        std::process::id()
+    ));
+    std::fs::remove_file(&journal).ok();
+    let journaled = |resume: bool| CoordinatorConfig {
+        journal: Some(PathBuf::from(&journal)),
+        resume,
+        durable: true,
+        ..coordinator_config()
+    };
+    {
+        let mut c = Coordinator::new(spec(), &journaled(false)).expect("coordinator");
+        let (shard, token) = lease_shard(&mut c, "w0");
+        assert_eq!(shard, 0);
+        for r in 0..SHARD_SIZE {
+            assert_eq!(c.submit_line(&line_for(r)), SubmitReply::Accepted);
+        }
+        assert_eq!(c.complete(shard, token), CompleteReply::Complete);
+        // Part of the next shard reaches the journal, unsealed.
+        let (next, _) = lease_shard(&mut c, "w0");
+        assert_eq!(next, 1);
+        assert_eq!(c.submit_line(&line_for(SHARD_SIZE)), SubmitReply::Accepted);
+    }
+    // Power cut mid-write: the last line is torn in half.
+    let bytes = journal_bytes(&journal);
+    let last_start = bytes[..bytes.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    let cut = last_start + (bytes.len() - last_start) / 2;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&journal)
+        .and_then(|f| f.set_len(cut as u64))
+        .expect("truncate journal");
+    let coordinator = Arc::new(Mutex::new(
+        Coordinator::new(spec(), &journaled(true)).expect("resumed coordinator"),
+    ));
+    let stats = coordinator.lock().unwrap().stats();
+    assert_eq!(stats.restored, SHARD_SIZE, "only intact lines restore");
+    assert_eq!(stats.shards_done, 1, "the sealed shard is born done");
+    let ran = run_local_workers(&coordinator, 2);
+    assert_eq!(ran.iter().sum::<u64>(), REPLICATIONS - SHARD_SIZE);
+    let c = coordinator.lock().unwrap();
+    assert!(c.is_done());
+    assert_identical("torn tail", &expected, &c.merged().expect("merged"));
     std::fs::remove_file(&journal).ok();
 }
 
