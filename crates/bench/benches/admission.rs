@@ -14,9 +14,10 @@
 use gps_analysis::{AdmissionEngine, CertBackend, ClassSpec, QosTarget, Request, RequestKind};
 use gps_bench::harness::{black_box, BenchHarness};
 use gps_ebb::{EbbProcess, TimeModel};
-use gps_obs::exporter::{HttpClient, MAX_REQUESTS_PER_CONN};
 use gps_obs::metrics::Registry;
-use gps_obs::{Exporter, RouteHandler, RouteResponse, TelemetryConfig};
+use gps_obs::{
+    ClientConfig, Exporter, HttpClient, HttpRequest, RequestHandler, RouteResponse, TelemetryConfig,
+};
 use gps_stats::{RngCore, Xoshiro256pp};
 use std::sync::{Arc, Mutex};
 
@@ -143,12 +144,12 @@ fn main() {
     // the real admitd end to end (gpsbench/README.md).
     let registry = Registry::new();
     let http_engine = Arc::new(Mutex::new(warm_template.clone()));
-    let handler: RouteHandler = {
+    let handler: RequestHandler = {
         let engine = Arc::clone(&http_engine);
-        Arc::new(move |path: &str| {
-            let (route, query) = match path.split_once('?') {
+        Arc::new(move |req: &HttpRequest| {
+            let (route, query) = match req.path.split_once('?') {
                 Some((r, q)) => (r, Some(q)),
-                None => (path, None),
+                None => (req.path, None),
             };
             let class: usize = query
                 .and_then(|q| q.strip_prefix("class="))
@@ -166,11 +167,11 @@ fn main() {
             ))
         })
     };
-    let exporter = Exporter::serve_with_telemetry(
+    let exporter = Exporter::serve(
         "127.0.0.1:0",
         registry,
         Some(handler),
-        TelemetryConfig::new("bench-admitd"),
+        Some(TelemetryConfig::new("bench-admitd")),
     )
     .expect("bind exporter");
     let addr = exporter.local_addr();
@@ -187,16 +188,15 @@ fn main() {
     let http = h
         .bench_elems("replay/http", HTTP_DECISIONS as u64, || {
             *http_engine.lock().expect("engine poisoned") = warm_template.clone();
-            let mut client = HttpClient::connect(addr).expect("connect");
-            let mut on_conn = 0usize;
+            // No retries: a re-sent admit would change the decision stream.
+            let no_retry = ClientConfig {
+                retries: 0,
+                ..ClientConfig::default()
+            };
+            let mut client = HttpClient::connect(addr, no_retry).expect("resolve");
             let mut accepted = 0usize;
             for path in &paths {
-                if on_conn + 1 >= MAX_REQUESTS_PER_CONN {
-                    client = HttpClient::connect(addr).expect("reconnect");
-                    on_conn = 0;
-                }
                 let (status, body) = client.get(path).expect("request");
-                on_conn += 1;
                 assert_eq!(status, 200);
                 if body.contains("true") {
                     accepted += 1;

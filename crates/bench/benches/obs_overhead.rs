@@ -155,8 +155,8 @@ fn main() {
         level: Level::Info,
         timing: false,
     });
-    let exporter =
-        Exporter::serve("127.0.0.1:0", gps_obs::metrics().clone()).expect("bind exporter");
+    let exporter = Exporter::serve("127.0.0.1:0", gps_obs::metrics().clone(), None, None)
+        .expect("bind exporter");
     h.bench_elems("obs_overhead/serving", slots, || run_campaign(&base));
     exporter.shutdown();
 
@@ -174,9 +174,13 @@ fn main() {
     // per request served, so the campaign loop must not slow down.
     let telemetry = TelemetryConfig::new("bench-obs")
         .with_slos(vec![SloSpec::availability("availability", 0.999)]);
-    let exporter =
-        Exporter::serve_with_telemetry("127.0.0.1:0", gps_obs::metrics().clone(), None, telemetry)
-            .expect("bind telemetry exporter");
+    let exporter = Exporter::serve(
+        "127.0.0.1:0",
+        gps_obs::metrics().clone(),
+        None,
+        Some(telemetry),
+    )
+    .expect("bind telemetry exporter");
     h.bench_elems("obs_overhead/request_telemetry", slots, || {
         run_campaign(&base)
     });

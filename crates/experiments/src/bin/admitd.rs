@@ -26,10 +26,12 @@
 use gps_analysis::{AdmissionEngine, CertBackend, ClassSpec, Decision, QosTarget, RequestKind};
 use gps_ebb::{EbbProcess, TimeModel};
 use gps_experiments::service::service_json;
-use gps_obs::exporter::{HttpClient, MAX_REQUESTS_PER_CONN};
 use gps_obs::json::{fmt_f64, Json};
 use gps_obs::metrics::Registry;
-use gps_obs::{Exporter, RouteHandler, RouteResponse, SloSpec, TelemetryConfig};
+use gps_obs::{
+    ClientConfig, Exporter, HttpClient, HttpRequest, RequestHandler, RouteResponse, SloSpec,
+    TelemetryConfig,
+};
 use gps_stats::{RngCore, Xoshiro256pp};
 use std::sync::{Arc, Mutex};
 
@@ -155,11 +157,15 @@ fn class_param(query: Option<&str>, n_classes: usize) -> Result<usize, String> {
     Ok(k)
 }
 
-fn routes(engine: Arc<Mutex<AdmissionEngine>>, registry: Registry) -> RouteHandler {
-    Arc::new(move |path: &str| {
-        let (route, query) = match path.split_once('?') {
+fn routes(engine: Arc<Mutex<AdmissionEngine>>, registry: Registry) -> RequestHandler {
+    Arc::new(move |req: &HttpRequest| {
+        // Every endpoint is a GET: a POST must never admit.
+        if req.method != "GET" {
+            return Some(RouteResponse::text(405, "GET only\n"));
+        }
+        let (route, query) = match req.path.split_once('?') {
             Some((r, q)) => (r, Some(q)),
-            None => (path, None),
+            None => (req.path, None),
         };
         let op = match route {
             "/admit" => Some(RequestKind::Admit),
@@ -292,11 +298,11 @@ fn main() {
     if slo_enabled {
         telemetry = telemetry.with_slos(default_slos());
     }
-    let exporter = Exporter::serve_with_telemetry(
+    let exporter = Exporter::serve(
         &addr,
         registry.clone(),
         Some(routes(Arc::clone(&engine), registry.clone())),
-        telemetry,
+        Some(telemetry),
     )
     .unwrap_or_else(|e| {
         eprintln!("admitd: bind {addr}: {e}");
@@ -313,24 +319,23 @@ fn main() {
     };
 
     // Scripted replay through our own HTTP front end: deterministic
-    // request stream, persistent connections (reconnect at the server's
-    // per-connection budget), response-body digest for verify.sh.
+    // request stream, persistent connections (the client rolls them at
+    // the server's per-connection budget), response-body digest for
+    // verify.sh. No retries: a re-sent admit would change the digest.
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     let mut accepted = 0usize;
     let started = std::time::Instant::now();
-    let mut client = HttpClient::connect(local).expect("connect to own exporter");
-    let mut on_conn = 0usize;
+    let no_retry = ClientConfig {
+        retries: 0,
+        ..ClientConfig::default()
+    };
+    let mut client = HttpClient::connect(local, no_retry).expect("resolve own exporter");
     for _ in 0..n {
         let class = (rng.next_u64() % n_classes as u64) as usize;
         let admit = rng.next_u64() % 10 < 7; // 70 % admits, 30 % departs
         let path = format!("/{}?class={class}", if admit { "admit" } else { "depart" });
-        if on_conn + 1 >= MAX_REQUESTS_PER_CONN {
-            client = HttpClient::connect(local).expect("reconnect");
-            on_conn = 0;
-        }
         let (status, body) = client.get(&path).expect("replay request");
-        on_conn += 1;
         assert_eq!(status, 200, "replay got {status} for {path}");
         if body.contains("\"accepted\": true") {
             accepted += 1;

@@ -39,10 +39,9 @@
 use gps_experiments::scenarios::{resolve, write_campaign_artifacts, CampaignScenario};
 use gps_experiments::service::service_json;
 use gps_experiments::{finish_obs, init_obs, results_dir};
-use gps_obs::exporter::HttpClient;
 use gps_obs::{
-    Exporter, HttpRequest, RequestHandler, RouteResponse, RunManifest, SloSet, SloSpec,
-    TelemetryConfig,
+    ClientConfig, Exporter, HttpClient, HttpRequest, RequestHandler, RouteResponse, RunManifest,
+    SloSet, SloSpec, TelemetryConfig,
 };
 use gps_sim::orchestrate::{
     run_worker, CampaignSpec, Coordinator, CoordinatorConfig, LocalTransport, WorkerOptions,
@@ -81,12 +80,9 @@ fn dispatch(
     slo: &SloSet,
     epoch: &Instant,
 ) -> Option<RouteResponse> {
-    let (path, query) = match req.path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (req.path.as_str(), ""),
-    };
+    let (path, query) = req.path.split_once('?').unwrap_or((req.path, ""));
     let now_s = epoch.elapsed().as_secs();
-    match (req.method.as_str(), path) {
+    match (req.method, path) {
         ("GET", "/shard") => {
             let worker = query_param(query, "worker").unwrap_or("anonymous");
             let mut c = coordinator.lock().expect("coordinator poisoned");
@@ -285,10 +281,10 @@ fn main() {
         });
         let telemetry =
             TelemetryConfig::from_env("campaignd").with_shared_slo(Arc::clone(&slo_set));
-        let server = match Exporter::serve_requests(
+        let server = match Exporter::serve(
             &listen,
             gps_obs::metrics().clone(),
-            handler,
+            Some(handler),
             Some(telemetry),
         ) {
             Ok(e) => e,
@@ -313,7 +309,11 @@ fn main() {
         std::thread::sleep(Duration::from_millis(500));
         // Pull /slo through the real HTTP surface (burn-rate fields
         // included) for the service snapshot before shutting down.
-        let slo_body = HttpClient::connect(addr)
+        let no_retry = ClientConfig {
+            retries: 0,
+            ..ClientConfig::default()
+        };
+        let slo_body = HttpClient::connect(addr, no_retry)
             .ok()
             .and_then(|mut c| c.get("/slo").ok())
             .filter(|(status, _)| *status == 200)

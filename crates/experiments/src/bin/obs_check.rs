@@ -8,11 +8,20 @@
 //! `scripts/verify.sh` runs this instead of depending on `curl`.
 
 use gps_experiments::{init_obs, serve_addr_from_args};
-use gps_obs::exporter::http_get;
+use gps_obs::{ClientConfig, HttpClient};
 use gps_par::Pool;
 use gps_sim::campaign::Campaign;
 use gps_sim::runner::SingleNodeRunConfig;
 use gps_sources::{OnOffSource, SlotSource};
+
+/// Client policy for every check: the first transport error is the
+/// result, and no request is ever sent twice.
+fn no_retry() -> ClientConfig {
+    ClientConfig {
+        retries: 0,
+        ..ClientConfig::default()
+    }
+}
 
 fn check(name: &str, ok: bool, detail: &str) -> bool {
     if ok {
@@ -24,7 +33,7 @@ fn check(name: &str, ok: bool, detail: &str) -> bool {
 }
 
 /// Stands up an [`gps_analysis::AdmissionEngine`] behind
-/// [`gps_obs::Exporter::serve_with_telemetry`] the way `admitd` does,
+/// [`gps_obs::Exporter::serve`] with request telemetry the way `admitd` does,
 /// then drives scripted admit/depart load over a single keep-alive
 /// connection and asserts the JSON endpoints, the `admission_cache_*`
 /// counters, the `admission_region_occupancy` gauges, the per-route
@@ -33,9 +42,8 @@ fn check(name: &str, ok: bool, detail: &str) -> bool {
 fn admission_service_checks() -> bool {
     use gps_analysis::{AdmissionEngine, CertBackend, ClassSpec, QosTarget};
     use gps_ebb::{EbbProcess, TimeModel};
-    use gps_obs::exporter::HttpClient;
     use gps_obs::metrics::Registry;
-    use gps_obs::{Exporter, RouteHandler, RouteResponse, SloSpec, TelemetryConfig};
+    use gps_obs::{Exporter, HttpRequest, RequestHandler, RouteResponse, SloSpec, TelemetryConfig};
     use std::sync::{Arc, Mutex};
 
     let classes = vec![
@@ -60,13 +68,13 @@ fn admission_service_checks() -> bool {
     .expect("engine builds");
     let registry = Registry::new();
     let engine = Arc::new(Mutex::new(engine));
-    let handler: RouteHandler = {
+    let handler: RequestHandler = {
         let engine = Arc::clone(&engine);
         let registry = registry.clone();
-        Arc::new(move |path: &str| {
-            let (route, query) = match path.split_once('?') {
+        Arc::new(move |req: &HttpRequest| {
+            let (route, query) = match req.path.split_once('?') {
                 Some((r, q)) => (r, Some(q)),
-                None => (path, None),
+                None => (req.path, None),
             };
             let class: usize = query
                 .and_then(|q| q.strip_prefix("class="))
@@ -109,20 +117,17 @@ fn admission_service_checks() -> bool {
     };
     let telemetry = TelemetryConfig::new("obs-check-admit")
         .with_slos(vec![SloSpec::availability("availability", 0.999)]);
-    let exporter =
-        Exporter::serve_with_telemetry("127.0.0.1:0", registry.clone(), Some(handler), telemetry)
-            .expect("bind");
+    let exporter = Exporter::serve(
+        "127.0.0.1:0",
+        registry.clone(),
+        Some(handler),
+        Some(telemetry),
+    )
+    .expect("bind");
     let addr = exporter.local_addr();
 
     let mut ok = true;
-    let mut client = match HttpClient::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            ok = check("admitd connect", false, &e.to_string());
-            exporter.shutdown();
-            return ok;
-        }
-    };
+    let mut client = HttpClient::connect(addr, no_retry()).expect("socket address resolves");
     // Scripted load on one keep-alive connection: admits on both classes
     // until the first rejection, then a depart and a re-admit.
     let mut last_accepted = true;
@@ -311,7 +316,8 @@ fn main() {
     assert_eq!(reports.len(), 2);
 
     let mut ok = true;
-    match http_get(addr, "/health") {
+    let mut client = HttpClient::connect(addr, no_retry()).expect("socket address resolves");
+    match client.get("/health") {
         Ok((status, body)) => {
             ok &= check("/health status", status == 200, &format!("status {status}"));
             let parsed = gps_obs::json::parse(&body);
@@ -331,7 +337,7 @@ fn main() {
         }
         Err(e) => ok = check("/health", false, &e.to_string()),
     }
-    match http_get(addr, "/healthz") {
+    match client.get("/healthz") {
         Ok((status, body)) => {
             ok &= check(
                 "/healthz plain alias",
@@ -341,7 +347,7 @@ fn main() {
         }
         Err(e) => ok = check("/healthz", false, &e.to_string()),
     }
-    match http_get(addr, "/metrics") {
+    match client.get("/metrics") {
         Ok((status, body)) => {
             ok &= check(
                 "/metrics status",
@@ -366,7 +372,7 @@ fn main() {
         }
         Err(e) => ok = check("/metrics", false, &e.to_string()),
     }
-    match http_get(addr, "/metrics.json") {
+    match client.get("/metrics.json") {
         Ok((status, body)) => {
             ok &= check(
                 "/metrics.json status",
@@ -385,7 +391,7 @@ fn main() {
         }
         Err(e) => ok = check("/metrics.json", false, &e.to_string()),
     }
-    match http_get(addr, "/progress") {
+    match client.get("/progress") {
         Ok((status, body)) => {
             ok &= check(
                 "/progress status",
@@ -412,12 +418,12 @@ fn main() {
         }
         Err(e) => ok = check("/progress", false, &e.to_string()),
     }
-    match http_get(addr, "/nope") {
+    match client.get("/nope") {
         Ok((status, _)) => ok &= check("unknown path -> 404", status == 404, &format!("{status}")),
         Err(e) => ok = check("unknown path", false, &e.to_string()),
     }
 
-    // The admission-control service: an engine behind serve_with_routes,
+    // The admission-control service: an engine behind a request handler,
     // driven over one persistent connection — checks the custom routes,
     // keep-alive, the cache counters, and the region gauges end to end.
     ok &= admission_service_checks();

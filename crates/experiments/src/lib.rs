@@ -103,7 +103,7 @@ pub fn init_obs(campaign: &str, quiet: bool) -> ObsSetup {
     gps_obs::trace::init_from_env();
     gps_obs::info("campaign", "start", &[("name", campaign.into())]);
     let exporter = serve_addr_from_args().and_then(|addr| {
-        match Exporter::serve(&addr, gps_obs::metrics().clone()) {
+        match Exporter::serve(&addr, gps_obs::metrics().clone(), None, None) {
             Ok(e) => {
                 eprintln!("telemetry: serving /metrics on http://{}", e.local_addr());
                 Some(e)

@@ -1,12 +1,12 @@
 //! Live metrics exposition over TCP: a minimal, dependency-free HTTP/1.1
-//! responder serving the registry while a campaign runs.
+//! server for the registry, and the in-tree client that talks to it.
 //!
 //! Endpoints:
 //!
 //! * `/metrics` — the registry snapshot in Prometheus text exposition
 //!   format v0.0.4 (see [`to_prometheus_text`]).
 //! * `/metrics.json` — the existing deterministic snapshot JSON
-//!   ([`Snapshot::to_json`]), spans included.
+//!   ([`crate::metrics::Snapshot::to_json`]), spans included.
 //! * `/progress` — the live campaign progress document
 //!   ([`crate::progress::Progress::to_json`]): replications
 //!   done/restored/retried/quarantined, chunk count, throughput, ETA.
@@ -15,18 +15,19 @@
 //! * `/healthz` — bare `ok`, for probes that can't parse JSON.
 //! * `/slo` — per-SLO error budgets and burn rates
 //!   ([`crate::slo::SloSet::to_json`]); served when the exporter was
-//!   started with request telemetry ([`Exporter::serve_with_telemetry`]).
+//!   started with request telemetry.
 //!
-//! Services can mount extra GET endpoints next to the built-ins with
-//! [`Exporter::serve_with_routes`] — the admission-control daemon serves
-//! `/admit`, `/depart`, and `/region` this way, concurrently with
-//! `/metrics` scrapes.
+//! The built-ins answer GET only. A service mounts its own endpoints by
+//! passing a [`RequestHandler`] to [`Exporter::serve`]: it sees every GET
+//! the built-ins don't claim and every POST. The admission-control daemon
+//! serves `/admit`, `/depart`, and `/region` this way, concurrently with
+//! `/metrics` scrapes; `campaignd` serves its orchestration routes.
 //!
 //! # Request telemetry
 //!
-//! [`Exporter::serve_with_telemetry`] wraps dispatch in a per-request
-//! middleware: every request gets a monotonically-assigned request ID
-//! (readable from route handlers via [`current_request_id`]), a
+//! With a [`TelemetryConfig`], [`Exporter::serve`] wraps dispatch in a
+//! per-request middleware: every request gets a monotonically-assigned
+//! request ID (readable from handlers via [`current_request_id`]), a
 //! per-route/per-status `obs.http.requests` counter, an HDR latency
 //! observation per route (`obs.http.request_duration_ns`, exposed as
 //! Prometheus `le` buckets), in-flight/connection gauges, an SLO
@@ -54,15 +55,23 @@
 //!
 //! Malformed and hostile clients are bounded on every axis: reads and
 //! writes time out after two seconds, the request line is capped at 1 KiB
-//! (`414 URI Too Long` beyond that), and the whole request head at 8 KiB
-//! (`431 Request Header Fields Too Large`).
+//! (`414 URI Too Long` beyond that), the whole request head at 8 KiB
+//! (`431 Request Header Fields Too Large`), and the body at 1 MiB
+//! (`413 Content Too Large`); a `Content-Length` that is not a plain
+//! decimal, or two that disagree, gets `400 Bad Request`. Each of these
+//! closes the connection.
+//!
+//! [`HttpClient`] is the matching client: keep-alive, lazily connected,
+//! rolling its connection before the server's request budget, and
+//! retrying transport errors as its [`ClientConfig`] says.
 //!
 //! Nothing here is on a hot path: every request takes a fresh
 //! [`Registry::snapshot`], so the exporter never holds metric locks
 //! across I/O.
 
 use crate::journal::{FieldValue, Journal, SinkKind};
-use crate::metrics::{labeled, Registry, Snapshot};
+use crate::metrics::{labeled, Registry};
+use crate::prometheus::to_prometheus_text;
 use crate::slo::{SloSet, SloSpec};
 use std::cell::Cell;
 use std::io::{Read, Write};
@@ -71,268 +80,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------
-// Prometheus text exposition
-
-/// Maps a registry metric name onto the Prometheus grammar
-/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): every other character becomes `_`.
-fn sanitize_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
-        out.push(if ok { c } else { '_' });
-    }
-    out
-}
-
-/// Splits the registry's `name{k=v,k2=v2}` form (see
-/// [`crate::metrics::labeled`]) back into base name and label pairs.
-fn split_labels(full: &str) -> (&str, Vec<(&str, &str)>) {
-    match full.find('{') {
-        Some(open) if full.ends_with('}') => {
-            let base = &full[..open];
-            let inner = &full[open + 1..full.len() - 1];
-            let labels = inner
-                .split(',')
-                .filter(|p| !p.is_empty())
-                .map(|pair| match pair.find('=') {
-                    Some(eq) => (&pair[..eq], &pair[eq + 1..]),
-                    None => (pair, ""),
-                })
-                .collect();
-            (base, labels)
-        }
-        _ => (full, Vec::new()),
-    }
-}
-
-/// Renders a label set (plus an optional extra label such as
-/// `le`/`quantile`) as `{k="v",…}`; empty string when there are none.
-fn render_labels(labels: &[(&str, &str)], extra: Option<(&str, &str)>) -> String {
-    if labels.is_empty() && extra.is_none() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    let mut first = true;
-    for (k, v) in labels.iter().copied().chain(extra) {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&sanitize_name(k));
-        out.push_str("=\"");
-        for c in v.chars() {
-            match c {
-                '\\' => out.push_str("\\\\"),
-                '"' => out.push_str("\\\""),
-                '\n' => out.push_str("\\n"),
-                _ => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-    out.push('}');
-    out
-}
-
-/// Prometheus float rendering: finite values use Rust's shortest
-/// round-trip `Display`; non-finite values use the format's spellings.
-fn prom_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
-}
-
-/// One exposition family: a `# TYPE` header followed by sample lines,
-/// grouped so each family name is declared exactly once.
-struct Family {
-    name: String,
-    kind: &'static str,
-    lines: Vec<String>,
-}
-
-fn push_family(
-    families: &mut Vec<Family>,
-    index: &mut std::collections::BTreeMap<String, usize>,
-    name: &str,
-    kind: &'static str,
-) -> usize {
-    if let Some(&i) = index.get(name) {
-        return i;
-    }
-    families.push(Family {
-        name: name.to_string(),
-        kind,
-        lines: Vec::new(),
-    });
-    index.insert(name.to_string(), families.len() - 1);
-    families.len() - 1
-}
-
-/// Renders a snapshot in Prometheus text exposition format v0.0.4.
-///
-/// Registry conventions map as follows: dotted names flatten to
-/// underscores, counters gain the `_total` suffix (exactly once), labeled
-/// names (`name{k=v}`) become proper label sets, histograms emit
-/// cumulative `le` buckets (underflow mass included, no `_sum` — the
-/// binned histogram does not track one), HDR histograms emit their exact
-/// non-empty log buckets as integer `le` boundaries plus `_sum`/`_count`,
-/// and summaries emit `quantile="0.5|0.9|0.99"` samples plus
-/// `_count`/`_sum`. Span timing stats are exposed as `obs_span_*` gauges
-/// labeled by path (`obs_span_samples`, not `_count` — that suffix is
-/// reserved for histogram/summary families).
-///
-/// The output is a pure function of the snapshot: same snapshot, same
-/// bytes, which is what lets the thread-count determinism tests pin this
-/// surface.
-pub fn to_prometheus_text(snap: &Snapshot) -> String {
-    let mut families: Vec<Family> = Vec::new();
-    let mut index = std::collections::BTreeMap::new();
-
-    for (full, v) in &snap.counters {
-        let (base, labels) = split_labels(full);
-        // Counters carry exactly one `_total` suffix: appended for the
-        // common dotted registry names, left alone if the registry name
-        // already ends in `_total`.
-        let base = sanitize_name(base);
-        let name = if base.ends_with("_total") {
-            base
-        } else {
-            format!("{base}_total")
-        };
-        let i = push_family(&mut families, &mut index, &name, "counter");
-        families[i]
-            .lines
-            .push(format!("{name}{} {v}", render_labels(&labels, None)));
-    }
-    for (full, v) in &snap.gauges {
-        let (base, labels) = split_labels(full);
-        let name = sanitize_name(base);
-        let i = push_family(&mut families, &mut index, &name, "gauge");
-        families[i].lines.push(format!(
-            "{name}{} {}",
-            render_labels(&labels, None),
-            prom_f64(*v)
-        ));
-    }
-    for (full, h) in &snap.histograms {
-        let (base, labels) = split_labels(full);
-        let name = sanitize_name(base);
-        let i = push_family(&mut families, &mut index, &name, "histogram");
-        let width = (h.hi - h.lo) / h.bins.len().max(1) as f64;
-        let mut cumulative = h.underflow;
-        for (b, &c) in h.bins.iter().enumerate() {
-            cumulative += c;
-            let edge = h.lo + width * (b + 1) as f64;
-            families[i].lines.push(format!(
-                "{name}_bucket{} {cumulative}",
-                render_labels(&labels, Some(("le", &prom_f64(edge))))
-            ));
-        }
-        families[i].lines.push(format!(
-            "{name}_bucket{} {}",
-            render_labels(&labels, Some(("le", "+Inf"))),
-            h.total
-        ));
-        families[i].lines.push(format!(
-            "{name}_count{} {}",
-            render_labels(&labels, None),
-            h.total
-        ));
-    }
-    for (full, h) in &snap.hdr {
-        let (base, labels) = split_labels(full);
-        let name = sanitize_name(base);
-        let i = push_family(&mut families, &mut index, &name, "histogram");
-        for (le, cumulative) in h.cumulative_buckets() {
-            families[i].lines.push(format!(
-                "{name}_bucket{} {cumulative}",
-                render_labels(&labels, Some(("le", &le.to_string())))
-            ));
-        }
-        families[i].lines.push(format!(
-            "{name}_bucket{} {}",
-            render_labels(&labels, Some(("le", "+Inf"))),
-            h.total
-        ));
-        families[i].lines.push(format!(
-            "{name}_sum{} {}",
-            render_labels(&labels, None),
-            h.sum
-        ));
-        families[i].lines.push(format!(
-            "{name}_count{} {}",
-            render_labels(&labels, None),
-            h.total
-        ));
-    }
-    for (full, s) in &snap.summaries {
-        let (base, labels) = split_labels(full);
-        let name = sanitize_name(base);
-        let i = push_family(&mut families, &mut index, &name, "summary");
-        for (q, est) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
-            if let Some(v) = est {
-                families[i].lines.push(format!(
-                    "{name}{} {}",
-                    render_labels(&labels, Some(("quantile", q))),
-                    prom_f64(v)
-                ));
-            }
-        }
-        families[i].lines.push(format!(
-            "{name}_sum{} {}",
-            render_labels(&labels, None),
-            prom_f64(s.mean * s.count as f64)
-        ));
-        families[i].lines.push(format!(
-            "{name}_count{} {}",
-            render_labels(&labels, None),
-            s.count
-        ));
-    }
-    for (path, s) in &snap.spans {
-        for (metric, value) in [
-            // `_samples`, not `_count`: the reserved `_count` suffix is
-            // kept for histogram/summary families only.
-            ("obs_span_samples", s.count as f64),
-            ("obs_span_total_ns", s.total_ns as f64),
-            ("obs_span_mean_ns", s.mean_ns()),
-            ("obs_span_min_ns", s.min_ns as f64),
-            ("obs_span_max_ns", s.max_ns as f64),
-        ] {
-            let i = push_family(&mut families, &mut index, metric, "gauge");
-            families[i].lines.push(format!(
-                "{metric}{} {}",
-                render_labels(&[("path", path)], None),
-                prom_f64(value)
-            ));
-        }
-    }
-
-    let mut out = String::new();
-    for f in &families {
-        out.push_str("# TYPE ");
-        out.push_str(&f.name);
-        out.push(' ');
-        out.push_str(f.kind);
-        out.push('\n');
-        for line in &f.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// The HTTP server
 
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
@@ -347,8 +94,7 @@ const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// thread (together with the 2 s read timeout per request).
 pub const MAX_REQUESTS_PER_CONN: usize = 100;
 
-/// A response produced by a custom route handler mounted via
-/// [`Exporter::serve_with_routes`].
+/// A response produced by a [`RequestHandler`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteResponse {
     /// HTTP status code (the reason phrase is derived from it).
@@ -379,38 +125,25 @@ impl RouteResponse {
     }
 }
 
-/// Custom GET dispatch: receives the request path (query string
-/// included), returns `Some` to serve it or `None` to fall through to
-/// 404. Consulted only for paths no built-in endpoint claims.
-pub type RouteHandler = Arc<dyn Fn(&str) -> Option<RouteResponse> + Send + Sync>;
-
-/// One parsed request handed to a [`RequestHandler`]: method, path
-/// (query string included), and the request body (empty for GET).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpRequest {
+/// One parsed request handed to a [`RequestHandler`], borrowed from the
+/// connection's buffers: method, path (query string included), and the
+/// request body (empty for GET).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HttpRequest<'a> {
     /// Request method (`GET` or `POST`; others are rejected upstream).
-    pub method: String,
+    pub method: &'a str,
     /// Request path with its query string.
-    pub path: String,
+    pub path: &'a str,
     /// Request body, bounded by the server's body cap.
-    pub body: String,
+    pub body: &'a str,
 }
 
-/// Custom method-aware dispatch mounted via [`Exporter::serve_requests`]:
-/// consulted for every GET path the built-ins don't claim *and* for every
-/// POST. Return `Some` to serve, `None` to fall through to 404.
-pub type RequestHandler = Arc<dyn Fn(&HttpRequest) -> Option<RouteResponse> + Send + Sync>;
-
-/// The custom dispatch table threaded through connection handlers:
-/// either the legacy GET-only handler or the method-aware one.
-#[derive(Clone, Default)]
-struct RouteTable {
-    get: Option<RouteHandler>,
-    request: Option<RequestHandler>,
-}
-
+/// Custom dispatch mounted via [`Exporter::serve`]: consulted for every
+/// GET path the built-ins don't claim *and* for every POST. Return `Some`
+/// to serve, `None` to fall through to 404.
+pub type RequestHandler = Arc<dyn Fn(&HttpRequest<'_>) -> Option<RouteResponse> + Send + Sync>;
 /// Configuration for the exporter's request-telemetry middleware (see
-/// the module docs and [`Exporter::serve_with_telemetry`]).
+/// the module docs and [`Exporter::serve`]).
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Service name, surfaced in `/health` and `/slo`.
@@ -678,63 +411,18 @@ pub struct Exporter {
 impl Exporter {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
     /// starts serving `registry` on a thread named `gps-obs-exporter`.
-    pub fn serve(addr: &str, registry: Registry) -> std::io::Result<Exporter> {
-        Self::start(addr, registry, RouteTable::default(), None)
-    }
-
-    /// [`serve`](Self::serve) plus a custom route handler consulted for
-    /// every GET path the built-in endpoints don't claim.
-    pub fn serve_with_routes(
-        addr: &str,
-        registry: Registry,
-        routes: RouteHandler,
-    ) -> std::io::Result<Exporter> {
-        let table = RouteTable {
-            get: Some(routes),
-            request: None,
-        };
-        Self::start(addr, registry, table, None)
-    }
-
-    /// [`serve_with_routes`](Self::serve_with_routes) with the
-    /// request-telemetry middleware enabled: request IDs, per-route
-    /// counters and HDR latency, in-flight gauges, SLO burn-rate
-    /// evaluation (served at `/slo`), and the optional access log.
-    pub fn serve_with_telemetry(
-        addr: &str,
-        registry: Registry,
-        routes: Option<RouteHandler>,
-        telemetry: TelemetryConfig,
-    ) -> std::io::Result<Exporter> {
-        let table = RouteTable {
-            get: routes,
-            request: None,
-        };
-        Self::start(addr, registry, table, Some(telemetry))
-    }
-
-    /// [`serve`](Self::serve) plus a method-aware [`RequestHandler`]:
-    /// consulted for unclaimed GETs and for every POST (bodies framed by
+    ///
+    /// `handler` mounts custom endpoints next to the built-ins: it sees
+    /// every GET they don't claim and every POST (bodies framed by
     /// `Content-Length`, capped server-side with `413` beyond the cap).
-    /// Optional telemetry as in
-    /// [`serve_with_telemetry`](Self::serve_with_telemetry).
-    pub fn serve_requests(
+    /// Without one, a POST gets `405`. `telemetry` enables the
+    /// request-telemetry middleware: request IDs, per-route counters and
+    /// HDR latency, in-flight gauges, SLO burn-rate evaluation (served at
+    /// `/slo`), and the optional access log.
+    pub fn serve(
         addr: &str,
         registry: Registry,
-        handler: RequestHandler,
-        telemetry: Option<TelemetryConfig>,
-    ) -> std::io::Result<Exporter> {
-        let table = RouteTable {
-            get: None,
-            request: Some(handler),
-        };
-        Self::start(addr, registry, table, telemetry)
-    }
-
-    fn start(
-        addr: &str,
-        registry: Registry,
-        routes: RouteTable,
+        handler: Option<RequestHandler>,
         telemetry: Option<TelemetryConfig>,
     ) -> std::io::Result<Exporter> {
         let listener = TcpListener::bind(addr)?;
@@ -751,7 +439,7 @@ impl Exporter {
         ));
         let handle = std::thread::Builder::new()
             .name("gps-obs-exporter".to_string())
-            .spawn(move || serve_loop(listener, registry, thread_stop, routes, state))?;
+            .spawn(move || serve_loop(listener, registry, thread_stop, handler, state))?;
         crate::info(
             "obs.exporter",
             "started",
@@ -800,7 +488,7 @@ fn serve_loop(
     listener: TcpListener,
     registry: Registry,
     stop: Arc<AtomicBool>,
-    routes: RouteTable,
+    handler: Option<RequestHandler>,
     state: Arc<ServerState>,
 ) {
     for conn in listener.incoming() {
@@ -811,20 +499,20 @@ fn serve_loop(
             // One short-lived thread per connection: a stalled client
             // burns its own read timeout, not other scrapers' latency.
             let registry = registry.clone();
-            let routes = routes.clone();
+            let handler = handler.clone();
             let state = Arc::clone(&state);
             let _ = std::thread::Builder::new()
                 .name("gps-obs-conn".to_string())
-                .spawn(move || handle_connection(stream, &registry, &routes, &state));
+                .spawn(move || handle_connection(stream, &registry, handler.as_ref(), &state));
         }
     }
 }
 
-/// Outcome of pulling one request head off a persistent connection.
+/// Outcome of pulling one message head off a persistent connection.
 enum HeadRead {
-    /// A complete head (request line + headers + blank line).
+    /// A complete head (start line + headers + blank line).
     Complete(Vec<u8>),
-    /// Request line exceeded [`MAX_REQUEST_LINE`].
+    /// Start line exceeded [`MAX_REQUEST_LINE`].
     LineTooLong,
     /// Head exceeded [`MAX_REQUEST_BYTES`].
     HeadTooLarge,
@@ -832,11 +520,12 @@ enum HeadRead {
     Closed,
 }
 
-/// Reads one request head, consuming it from `carry` (which may already
-/// hold pipelined bytes from the previous read and keeps any surplus for
-/// the next request). Bodies are framed separately by
-/// [`read_request_body`] using the head's `Content-Length`.
-fn read_request_head(stream: &mut TcpStream, carry: &mut Vec<u8>) -> HeadRead {
+/// Reads one message head — a request on the server, a response on the
+/// client — consuming it from `carry` (which may already hold pipelined
+/// bytes from the previous read and keeps any surplus for the next
+/// message). Bodies are framed separately by [`read_body`] using the
+/// head's `Content-Length`.
+fn read_head(stream: &mut TcpStream, carry: &mut Vec<u8>) -> HeadRead {
     let mut chunk = [0u8; 512];
     loop {
         let line_end = carry.windows(2).position(|w| w == b"\r\n");
@@ -859,21 +548,32 @@ fn read_request_head(stream: &mut TcpStream, carry: &mut Vec<u8>) -> HeadRead {
     }
 }
 
-/// The request body size announced by the head (`0` when absent or
-/// unparseable — GETs carry no body and the client we ship always sends
-/// `Content-Length` on POST).
-fn content_length_of(head: &str) -> usize {
-    head.lines()
+/// The body size a head announces: `Some(0)` without a `Content-Length`,
+/// `None` when a value is not a plain decimal or two values disagree.
+fn content_length_of(head: &str) -> Option<usize> {
+    let mut announced = None;
+    for (_, value) in head
+        .lines()
         .filter_map(|l| l.split_once(':'))
-        .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())
-        .unwrap_or(0)
+        .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+    {
+        let value = value.trim();
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        let len: usize = value.parse().ok()?;
+        if announced.is_some_and(|prev| prev != len) {
+            return None;
+        }
+        announced = Some(len);
+    }
+    Some(announced.unwrap_or(0))
 }
 
 /// Pulls `len` body bytes off the connection, starting from whatever the
 /// head read left in `carry`. Returns `None` if the peer closes or stalls
 /// mid-body.
-fn read_request_body(stream: &mut TcpStream, carry: &mut Vec<u8>, len: usize) -> Option<Vec<u8>> {
+fn read_body(stream: &mut TcpStream, carry: &mut Vec<u8>, len: usize) -> Option<Vec<u8>> {
     let mut chunk = [0u8; 1024];
     while carry.len() < len {
         match stream.read(&mut chunk) {
@@ -915,7 +615,7 @@ fn wants_keep_alive(head: &str) -> bool {
 fn handle_connection(
     mut stream: TcpStream,
     registry: &Registry,
-    routes: &RouteTable,
+    handler: Option<&RequestHandler>,
     state: &ServerState,
 ) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
@@ -930,44 +630,33 @@ fn handle_connection(
     }
     let mut carry = Vec::with_capacity(512);
     for served in 0..MAX_REQUESTS_PER_CONN {
-        let head_bytes = match read_request_head(&mut stream, &mut carry) {
+        let head_bytes = match read_head(&mut stream, &mut carry) {
             HeadRead::Complete(bytes) => bytes,
+            HeadRead::Closed => break,
             HeadRead::LineTooLong => {
                 registry.counter("obs.exporter.requests").inc();
-                let ctx = telemetry.map(|t| t.begin_request(registry, "bad_request"));
-                if let (Some(t), Some(ctx)) = (telemetry, ctx) {
-                    let outcome = RequestOutcome {
-                        method: "GET",
-                        route: "bad_request",
-                        status: 414,
-                        bytes: 0,
-                    };
-                    t.finish_request(registry, &state.started, ctx, outcome);
-                }
-                respond_and_drain(&mut stream, 414, "URI Too Long", "request line too long\n");
+                reject(
+                    &mut stream,
+                    registry,
+                    state,
+                    "GET",
+                    414,
+                    "request line too long\n",
+                );
                 break;
             }
             HeadRead::HeadTooLarge => {
                 registry.counter("obs.exporter.requests").inc();
-                let ctx = telemetry.map(|t| t.begin_request(registry, "bad_request"));
-                if let (Some(t), Some(ctx)) = (telemetry, ctx) {
-                    let outcome = RequestOutcome {
-                        method: "GET",
-                        route: "bad_request",
-                        status: 431,
-                        bytes: 0,
-                    };
-                    t.finish_request(registry, &state.started, ctx, outcome);
-                }
-                respond_and_drain(
+                reject(
                     &mut stream,
+                    registry,
+                    state,
+                    "GET",
                     431,
-                    "Request Header Fields Too Large",
                     "request head too large\n",
                 );
                 break;
             }
-            HeadRead::Closed => break,
         };
         let head = String::from_utf8_lossy(&head_bytes);
         let mut parts = head.lines().next().unwrap_or("").split_whitespace();
@@ -980,35 +669,42 @@ fn handle_connection(
         // final label collapses unmatched paths to "unmatched" so hostile
         // scans cannot mint unbounded per-route series.
         let provisional = path.split('?').next().unwrap_or(path);
-        let announced = content_length_of(&head);
-        if announced > MAX_BODY_BYTES {
-            let ctx = telemetry.map(|t| t.begin_request(registry, "bad_request"));
-            if let (Some(t), Some(ctx)) = (telemetry, ctx) {
-                let outcome = RequestOutcome {
-                    method,
-                    route: "bad_request",
-                    status: 413,
-                    bytes: 0,
-                };
-                t.finish_request(registry, &state.started, ctx, outcome);
-            }
-            respond_and_drain(
+        // Without a trustworthy length the body cannot be framed, so the
+        // next head's position is unknown: refuse and close.
+        let Some(announced) = content_length_of(&head) else {
+            reject(
                 &mut stream,
+                registry,
+                state,
+                method,
+                400,
+                "bad content-length\n",
+            );
+            break;
+        };
+        if announced > MAX_BODY_BYTES {
+            reject(
+                &mut stream,
+                registry,
+                state,
+                method,
                 413,
-                "Content Too Large",
                 "request body too large\n",
             );
             break;
         }
         // Consume the body even on paths that ignore it — keep-alive
         // framing depends on the next head starting after it.
-        let request_body = match read_request_body(&mut stream, &mut carry, announced) {
-            Some(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
-            None => break,
+        let Some(body_bytes) = read_body(&mut stream, &mut carry, announced) else {
+            break;
+        };
+        let request = HttpRequest {
+            method,
+            path,
+            body: &String::from_utf8_lossy(&body_bytes),
         };
         let ctx = telemetry.map(|t| t.begin_request(registry, provisional));
-        let (status, content_type, body) =
-            dispatch(method, path, &request_body, registry, routes, state);
+        let (status, content_type, body) = dispatch(&request, registry, handler, state);
         if let (Some(t), Some(ctx)) = (telemetry, ctx) {
             let route = if status == 404 || status == 405 {
                 "unmatched"
@@ -1040,92 +736,82 @@ fn handle_connection(
     }
 }
 
+/// Refuses a request before dispatch: records it under the
+/// `bad_request` route when telemetry is on, answers `status`, and
+/// drains the connection for closing.
+fn reject(
+    stream: &mut TcpStream,
+    registry: &Registry,
+    state: &ServerState,
+    method: &str,
+    status: u16,
+    body: &str,
+) {
+    if let Some(t) = &state.telemetry {
+        let ctx = t.begin_request(registry, "bad_request");
+        let outcome = RequestOutcome {
+            method,
+            route: "bad_request",
+            status,
+            bytes: 0,
+        };
+        t.finish_request(registry, &state.started, ctx, outcome);
+    }
+    respond_and_drain(stream, status, body);
+}
+
 /// Produces `(status, content type, body)` for one request; the caller
 /// writes the response and feeds the outcome to the telemetry layer.
-/// Built-ins answer GET only; POST goes to the mounted
-/// [`RequestHandler`] when there is one, `405` otherwise.
+/// Built-ins answer GET only; the mounted [`RequestHandler`] sees the
+/// GETs they leave and every POST, and with no handler a non-GET is
+/// `405`.
 fn dispatch(
-    method: &str,
-    path: &str,
-    body: &str,
+    request: &HttpRequest<'_>,
     registry: &Registry,
-    routes: &RouteTable,
+    handler: Option<&RequestHandler>,
     state: &ServerState,
 ) -> (u16, String, String) {
-    if method == "POST" {
-        return match &routes.request {
-            Some(handler) => {
-                let request = HttpRequest {
-                    method: method.to_string(),
-                    path: path.to_string(),
-                    body: body.to_string(),
-                };
-                match handler(&request) {
-                    Some(r) => (r.status, r.content_type, r.body),
-                    None => (404, "text/plain".to_string(), "not found\n".to_string()),
-                }
-            }
-            None => (405, "text/plain".to_string(), "GET only\n".to_string()),
-        };
-    }
-    if method != "GET" {
-        let hint = if routes.request.is_some() {
+    let text = |status: u16, body: &str| (status, "text/plain".to_string(), body.to_string());
+    if request.method == "GET" {
+        if let Some(reply) = builtin(request.path, registry, state) {
+            return reply;
+        }
+    } else if request.method != "POST" || handler.is_none() {
+        let hint = if handler.is_some() {
             "GET or POST only\n"
         } else {
             "GET only\n"
         };
-        return (405, "text/plain".to_string(), hint.to_string());
+        return text(405, hint);
     }
-    match path {
-        "/metrics" => (
-            200,
-            "text/plain; version=0.0.4; charset=utf-8".to_string(),
-            to_prometheus_text(&registry.snapshot()),
-        ),
-        "/metrics.json" => (
-            200,
-            "application/json".to_string(),
-            registry.snapshot().to_json(),
-        ),
-        "/progress" => (
-            200,
-            "application/json".to_string(),
-            crate::progress::global_progress().to_json(),
-        ),
-        "/health" => (
-            200,
-            "application/json".to_string(),
-            health_json(registry, state),
-        ),
-        "/healthz" => (200, "text/plain".to_string(), "ok\n".to_string()),
-        "/slo" => match &state.telemetry {
-            Some(t) => (
-                200,
-                "application/json".to_string(),
-                t.slo
-                    .to_json(&state.service, state.started.elapsed().as_secs()),
-            ),
-            None => route_or_404(path, routes),
-        },
-        other => route_or_404(other, routes),
+    match handler.and_then(|h| h(request)) {
+        Some(r) => (r.status, r.content_type, r.body),
+        None => text(404, "not found\n"),
     }
 }
 
-fn route_or_404(path: &str, routes: &RouteTable) -> (u16, String, String) {
-    if let Some(r) = routes.get.as_ref().and_then(|h| h(path)) {
-        return (r.status, r.content_type, r.body);
+/// The built-in GET endpoints; `None` for a path they don't claim.
+fn builtin(path: &str, registry: &Registry, state: &ServerState) -> Option<(u16, String, String)> {
+    let json = |body: String| Some((200, "application/json".to_string(), body));
+    match path {
+        "/metrics" => Some((
+            200,
+            "text/plain; version=0.0.4; charset=utf-8".to_string(),
+            to_prometheus_text(&registry.snapshot()),
+        )),
+        "/metrics.json" => json(registry.snapshot().to_json()),
+        "/progress" => json(crate::progress::global_progress().to_json()),
+        "/health" => json(health_json(registry, state)),
+        "/healthz" => Some((200, "text/plain".to_string(), "ok\n".to_string())),
+        "/slo" => json(
+            state
+                .telemetry
+                .as_ref()?
+                .slo
+                .to_json(&state.service, state.started.elapsed().as_secs()),
+        ),
+        _ => None,
     }
-    if let Some(handler) = &routes.request {
-        let request = HttpRequest {
-            method: "GET".to_string(),
-            path: path.to_string(),
-            body: String::new(),
-        };
-        if let Some(r) = handler(&request) {
-            return (r.status, r.content_type, r.body);
-        }
-    }
-    (404, "text/plain".to_string(), "not found\n".to_string())
 }
 
 /// The structured `/health` document: liveness plus just enough
@@ -1167,8 +853,15 @@ fn respond(
 /// bytes in its receive buffer sends `RST`, which can destroy the response
 /// before the client reads it; draining (bounded by the read timeout and a
 /// byte cap) turns the close into an orderly `FIN`.
-fn respond_and_drain(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
-    respond(stream, status, reason, "text/plain", body, false);
+fn respond_and_drain(stream: &mut TcpStream, status: u16, body: &str) {
+    respond(
+        stream,
+        status,
+        reason_for(status),
+        "text/plain",
+        body,
+        false,
+    );
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut sink = [0u8; 1024];
     let mut drained = 0usize;
@@ -1183,52 +876,9 @@ fn respond_and_drain(stream: &mut TcpStream, status: u16, reason: &str, body: &s
     }
 }
 
-/// A minimal blocking HTTP GET against a local exporter — the in-tree
-/// client used by integration checks so `verify.sh` needs no `curl`.
-/// Returns `(status, body)`.
-pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> std::io::Result<(u16, String)> {
-    let addr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, READ_TIMEOUT)?;
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let _ = stream.set_nodelay(true);
-    let request = format!("GET {path} HTTP/1.1\r\nHost: gps-obs\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes())?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = match response.find("\r\n\r\n") {
-        Some(i) => response[i + 4..].to_string(),
-        None => String::new(),
-    };
-    Ok((status, body))
-}
-
-/// A persistent-connection HTTP client: issues many GETs over one TCP
-/// connection (the server's keep-alive path), parsing `Content-Length`
-/// to frame each response. Used by the admission benchmarks and the
-/// `obs_check` / `verify.sh` smoke tests so scripted decision streams
-/// don't pay a TCP handshake per request.
-///
-/// The server closes the connection after [`MAX_REQUESTS_PER_CONN`]
-/// requests; a `get` past that returns an error — reconnect to continue
-/// (or use [`RetryingClient`], which does it for you).
-#[derive(Debug)]
-pub struct HttpClient {
-    stream: TcpStream,
-    carry: Vec<u8>,
-}
-
-/// Timeout/retry policy for [`HttpClient::connect_with`] and
-/// [`RetryingClient`]. Fully deterministic: a fixed timeout on connect,
-/// read, and write, a bounded retry count, and linear attempt-count
-/// backoff (`attempt × backoff_step`, no jitter).
+/// Timeout/retry policy for [`HttpClient`]. Fully deterministic: a fixed
+/// timeout on connect, read, and write, a bounded retry count, and linear
+/// attempt-count backoff (`attempt × backoff_step`, no jitter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientConfig {
     /// Connect/read/write timeout.
@@ -1271,35 +921,46 @@ impl ClientConfig {
     }
 }
 
-impl HttpClient {
-    /// Connects to a local exporter with the default 2 s timeouts.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<HttpClient> {
-        Self::connect_with(addr, &ClientConfig::default())
-    }
+/// The in-tree HTTP client, used by the orchestration transport, the
+/// admission replay and benchmarks, and the `obs_check` / `verify.sh`
+/// smoke tests so nothing needs `curl`.
+///
+/// Requests ride one persistent connection (the server's keep-alive
+/// path), with `Content-Length` framing each response. The connection is
+/// opened lazily on the first request and rolled before it reaches the
+/// server's [`MAX_REQUESTS_PER_CONN`] budget. A transport error drops the
+/// connection and, up to [`ClientConfig::retries`] times, retries on a
+/// fresh one after a linear backoff, incrementing the global
+/// `client.retries` counter each time; the last error is returned. A
+/// retry re-sends the request, so callers whose requests change server
+/// state set `retries: 0`.
+#[derive(Debug)]
+pub struct HttpClient {
+    addr: SocketAddr,
+    cfg: ClientConfig,
+    stream: Option<TcpStream>,
+    carry: Vec<u8>,
+    served: usize,
+}
 
-    /// Connects with an explicit timeout policy — the connect, read, and
-    /// write timeouts all come from `cfg.timeout`, so a dead peer costs
-    /// one bounded timeout instead of hanging forever.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        cfg: &ClientConfig,
-    ) -> std::io::Result<HttpClient> {
+impl HttpClient {
+    /// A client for `addr` with policy `cfg`. Only resolves the address:
+    /// no connection is made until the first request.
+    pub fn connect(addr: impl ToSocketAddrs, cfg: ClientConfig) -> std::io::Result<HttpClient> {
         let addr = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))?;
-        let stream = TcpStream::connect_timeout(&addr, cfg.timeout)?;
-        stream.set_read_timeout(Some(cfg.timeout))?;
-        stream.set_write_timeout(Some(cfg.timeout))?;
-        stream.set_nodelay(true)?;
         Ok(HttpClient {
-            stream,
+            addr,
+            cfg,
+            stream: None,
             carry: Vec::with_capacity(512),
+            served: 0,
         })
     }
 
-    /// Issues one GET on the persistent connection; returns
-    /// `(status, body)`.
+    /// Issues one GET; returns `(status, body)`.
     pub fn get(&mut self, path: &str) -> std::io::Result<(u16, String)> {
         self.request("GET", path, None)
     }
@@ -1314,169 +975,81 @@ impl HttpClient {
         &mut self,
         method: &str,
         path: &str,
-        request_body: Option<&str>,
+        body: Option<&str>,
     ) -> std::io::Result<(u16, String)> {
-        let request = match request_body {
+        let mut attempt = 0;
+        loop {
+            match self.exchange(method, path, body) {
+                Ok(reply) => return Ok(reply),
+                // The connection is in an unknown framing state; any
+                // retry runs on a fresh one.
+                Err(e) => {
+                    self.stream = None;
+                    if attempt == self.cfg.retries {
+                        return Err(e);
+                    }
+                }
+            }
+            attempt += 1;
+            crate::metrics().counter("client.retries").inc();
+            std::thread::sleep(self.cfg.backoff_step * attempt);
+        }
+    }
+
+    /// One request/response on the current connection, opening it first
+    /// when there is none.
+    fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> std::io::Result<(u16, String)> {
+        // Roll the connection before the server's per-connection budget
+        // closes it mid-request.
+        if self.served >= MAX_REQUESTS_PER_CONN - 1 {
+            self.stream = None;
+        }
+        let stream = match &mut self.stream {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect_timeout(&self.addr, self.cfg.timeout)?;
+                stream.set_read_timeout(Some(self.cfg.timeout))?;
+                stream.set_write_timeout(Some(self.cfg.timeout))?;
+                stream.set_nodelay(true)?;
+                self.carry.clear();
+                self.served = 0;
+                self.stream.insert(stream)
+            }
+        };
+        let request = match body {
             Some(b) => format!(
                 "{method} {path} HTTP/1.1\r\nHost: gps-obs\r\nContent-Length: {}\r\n\r\n{b}",
                 b.len()
             ),
             None => format!("{method} {path} HTTP/1.1\r\nHost: gps-obs\r\n\r\n"),
         };
-        self.stream.write_all(request.as_bytes())?;
-        let head = self.read_until_blank_line()?;
+        stream.write_all(request.as_bytes())?;
+        let invalid = |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
+        let eof = |what: &str| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what);
+        let head_bytes = match read_head(stream, &mut self.carry) {
+            HeadRead::Complete(bytes) => bytes,
+            HeadRead::Closed => {
+                return Err(eof("peer closed, stalled, or errored before a response"))
+            }
+            HeadRead::LineTooLong | HeadRead::HeadTooLarge => {
+                return Err(invalid("response head too large"))
+            }
+        };
+        let head = String::from_utf8_lossy(&head_bytes);
         let status: u16 = head
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
-            })?;
-        let content_length: usize = head
-            .lines()
-            .filter_map(|l| l.split_once(':'))
-            .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))
-            .and_then(|(_, v)| v.trim().parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "missing content-length")
-            })?;
-        while self.carry.len() < content_length {
-            let mut chunk = [0u8; 1024];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "body truncated",
-                ));
-            }
-            self.carry.extend_from_slice(&chunk[..n]);
-        }
-        let body = String::from_utf8_lossy(&self.carry[..content_length]).into_owned();
-        self.carry.drain(..content_length);
-        Ok((status, body))
-    }
-
-    /// Reads (and consumes) one response head, keeping surplus bytes in
-    /// the carry buffer for the body read.
-    fn read_until_blank_line(&mut self) -> std::io::Result<String> {
-        loop {
-            if let Some(end) = self.carry.windows(4).position(|w| w == b"\r\n\r\n") {
-                let head = String::from_utf8_lossy(&self.carry[..end]).into_owned();
-                self.carry.drain(..end + 4);
-                return Ok(head);
-            }
-            let mut chunk = [0u8; 1024];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-head",
-                ));
-            }
-            self.carry.extend_from_slice(&chunk[..n]);
-        }
-    }
-}
-
-/// [`HttpClient`] wrapped in the deterministic retry policy of
-/// [`ClientConfig`]: reconnects on any transport error (bounded retries,
-/// linear attempt-count backoff, no jitter) and transparently rolls the
-/// connection before it hits the server's [`MAX_REQUESTS_PER_CONN`]
-/// budget. Every reconnect-and-retry increments the global
-/// `client.retries` counter. A request that still fails after the last
-/// retry returns the final error.
-#[derive(Debug)]
-pub struct RetryingClient {
-    addr: SocketAddr,
-    cfg: ClientConfig,
-    conn: Option<HttpClient>,
-    served: usize,
-}
-
-impl RetryingClient {
-    /// A lazy client for `addr` with the policy from
-    /// [`ClientConfig::from_env`]. No connection is made until the first
-    /// request.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<RetryingClient> {
-        Self::with_config(addr, ClientConfig::from_env())
-    }
-
-    /// A lazy client with an explicit policy.
-    pub fn with_config(
-        addr: impl ToSocketAddrs,
-        cfg: ClientConfig,
-    ) -> std::io::Result<RetryingClient> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))?;
-        Ok(RetryingClient {
-            addr,
-            cfg,
-            conn: None,
-            served: 0,
-        })
-    }
-
-    /// The retry policy in force.
-    pub fn config(&self) -> &ClientConfig {
-        &self.cfg
-    }
-
-    /// GET with retries; returns `(status, body)`.
-    pub fn get(&mut self, path: &str) -> std::io::Result<(u16, String)> {
-        self.request(path, None)
-    }
-
-    /// POST with retries; returns `(status, body)`.
-    pub fn post(&mut self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-        self.request(path, Some(body))
-    }
-
-    fn request(&mut self, path: &str, body: Option<&str>) -> std::io::Result<(u16, String)> {
-        let mut last_err = None;
-        for attempt in 0..=self.cfg.retries {
-            if attempt > 0 {
-                crate::metrics().counter("client.retries").inc();
-                std::thread::sleep(self.cfg.backoff_step * attempt);
-            }
-            // Roll the connection before the server's per-connection
-            // budget closes it mid-request.
-            if self.served >= MAX_REQUESTS_PER_CONN - 1 {
-                self.conn = None;
-            }
-            if self.conn.is_none() {
-                match HttpClient::connect_with(self.addr, &self.cfg) {
-                    Ok(c) => {
-                        self.conn = Some(c);
-                        self.served = 0;
-                    }
-                    Err(e) => {
-                        last_err = Some(e);
-                        continue;
-                    }
-                }
-            }
-            let conn = self.conn.as_mut().expect("connection just established");
-            let result = match body {
-                Some(b) => conn.post(path, b),
-                None => conn.get(path),
-            };
-            match result {
-                Ok(reply) => {
-                    self.served += 1;
-                    return Ok(reply);
-                }
-                Err(e) => {
-                    // The connection is in an unknown framing state;
-                    // retry on a fresh one.
-                    self.conn = None;
-                    self.served = 0;
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| std::io::Error::other("request failed")))
+            .ok_or_else(|| invalid("bad status line"))?;
+        let len = content_length_of(&head).ok_or_else(|| invalid("bad content-length"))?;
+        let body = read_body(stream, &mut self.carry, len).ok_or_else(|| eof("body truncated"))?;
+        self.served += 1;
+        Ok((status, String::from_utf8_lossy(&body).into_owned()))
     }
 }
 
@@ -1484,125 +1057,27 @@ impl RetryingClient {
 mod tests {
     use super::*;
 
-    #[test]
-    fn name_and_label_mapping() {
-        assert_eq!(sanitize_name("sim.measured_slots"), "sim_measured_slots");
-        assert_eq!(sanitize_name("9lives"), "_lives");
-        let (base, labels) = split_labels("sim.session.backlog_mean{session=2,node=a}");
-        assert_eq!(base, "sim.session.backlog_mean");
-        assert_eq!(labels, vec![("session", "2"), ("node", "a")]);
-        let (base, labels) = split_labels("plain");
-        assert_eq!(base, "plain");
-        assert!(labels.is_empty());
-        assert_eq!(
-            render_labels(&[("session", "2")], Some(("le", "+Inf"))),
-            "{session=\"2\",le=\"+Inf\"}"
-        );
-    }
-
-    #[test]
-    fn prom_float_spellings() {
-        assert_eq!(prom_f64(1.5), "1.5");
-        assert_eq!(prom_f64(f64::NAN), "NaN");
-        assert_eq!(prom_f64(f64::INFINITY), "+Inf");
-        assert_eq!(prom_f64(f64::NEG_INFINITY), "-Inf");
-    }
-
-    /// Golden exposition of a hand-built registry: every metric family
-    /// kind, labels, histogram buckets, and summary quantiles, pinned
-    /// byte-for-byte.
-    #[test]
-    fn prometheus_text_golden() {
-        let r = Registry::new();
-        // A registry name already carrying `_total` must not be
-        // double-suffixed.
-        r.counter("ingest_total").add(9);
-        r.counter("sim.measured_slots").add(240);
-        r.counter(&crate::metrics::labeled(
-            "sim.session.delay_samples",
-            &[("session", "0")],
-        ))
-        .add(12);
-        r.gauge(&crate::metrics::labeled(
-            "sim.session.throughput",
-            &[("session", "0")],
-        ))
-        .set(0.25);
-        let h = r.histogram("queue.depth", 0.0, 4.0, 4);
-        for x in [0.5, 1.5, 1.5, 3.5, 9.0] {
-            h.observe(x);
-        }
-        // Tiny HDR config (4 unit buckets, 2 sub-buckets per octave,
-        // saturation at 48) so the expected `le` boundaries are easy to
-        // derive by hand: 100 clamps into the [48,64) top bucket.
-        let hdr = r.hdr_with("rpc.latency_ns", || {
-            crate::hdrhist::HdrHistogram::with_config(2, 48)
-        });
-        for v in [1u64, 5, 7, 100] {
-            hdr.observe(v);
-        }
-        let s = r.summary("delay");
-        for _ in 0..5 {
-            s.observe(2.0);
-        }
-        r.record_span("sim/step", 100);
-        r.record_span("sim/step", 300);
-        let text = to_prometheus_text(&r.snapshot());
-        let expected = "\
-# TYPE ingest_total counter
-ingest_total 9
-# TYPE sim_measured_slots_total counter
-sim_measured_slots_total 240
-# TYPE sim_session_delay_samples_total counter
-sim_session_delay_samples_total{session=\"0\"} 12
-# TYPE sim_session_throughput gauge
-sim_session_throughput{session=\"0\"} 0.25
-# TYPE queue_depth histogram
-queue_depth_bucket{le=\"1\"} 1
-queue_depth_bucket{le=\"2\"} 3
-queue_depth_bucket{le=\"3\"} 3
-queue_depth_bucket{le=\"4\"} 4
-queue_depth_bucket{le=\"+Inf\"} 5
-queue_depth_count 5
-# TYPE rpc_latency_ns histogram
-rpc_latency_ns_bucket{le=\"1\"} 1
-rpc_latency_ns_bucket{le=\"5\"} 2
-rpc_latency_ns_bucket{le=\"7\"} 3
-rpc_latency_ns_bucket{le=\"63\"} 4
-rpc_latency_ns_bucket{le=\"+Inf\"} 4
-rpc_latency_ns_sum 61
-rpc_latency_ns_count 4
-# TYPE delay summary
-delay{quantile=\"0.5\"} 2
-delay{quantile=\"0.9\"} 2
-delay{quantile=\"0.99\"} 2
-delay_sum 10
-delay_count 5
-# TYPE obs_span_samples gauge
-obs_span_samples{path=\"sim/step\"} 2
-# TYPE obs_span_total_ns gauge
-obs_span_total_ns{path=\"sim/step\"} 400
-# TYPE obs_span_mean_ns gauge
-obs_span_mean_ns{path=\"sim/step\"} 200
-# TYPE obs_span_min_ns gauge
-obs_span_min_ns{path=\"sim/step\"} 100
-# TYPE obs_span_max_ns gauge
-obs_span_max_ns{path=\"sim/step\"} 300
-";
-        assert_eq!(text, expected);
+    /// A client that surfaces the first transport error.
+    fn fail_fast(addr: SocketAddr) -> HttpClient {
+        let cfg = ClientConfig {
+            retries: 0,
+            ..ClientConfig::default()
+        };
+        HttpClient::connect(addr, cfg).unwrap()
     }
 
     #[test]
     fn server_round_trip_and_shutdown() {
         let r = Registry::new();
         r.counter("hits").add(3);
-        let exporter = Exporter::serve("127.0.0.1:0", r.clone()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r.clone(), None, None).expect("bind");
         let addr = exporter.local_addr();
+        let mut client = fail_fast(addr);
 
-        let (status, body) = http_get(addr, "/healthz").unwrap();
+        let (status, body) = client.get("/healthz").unwrap();
         assert_eq!((status, body.as_str()), (200, "ok\n"));
 
-        let (status, body) = http_get(addr, "/health").unwrap();
+        let (status, body) = client.get("/health").unwrap();
         assert_eq!(status, 200);
         let health = crate::json::parse(&body).expect("health json parses");
         assert_eq!(health.get("status").and_then(|v| v.as_str()), Some("ok"));
@@ -1616,12 +1091,12 @@ obs_span_max_ns{path=\"sim/step\"} 300
             .is_some());
         assert!(health.get("requests").and_then(|v| v.as_u64()).unwrap_or(0) >= 1);
 
-        let (status, body) = http_get(addr, "/metrics").unwrap();
+        let (status, body) = client.get("/metrics").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("# TYPE hits_total counter"));
         assert!(body.contains("hits_total 3"));
 
-        let (status, body) = http_get(addr, "/metrics.json").unwrap();
+        let (status, body) = client.get("/metrics.json").unwrap();
         assert_eq!(status, 200);
         let parsed = crate::json::parse(&body).expect("snapshot json parses");
         assert_eq!(
@@ -1634,7 +1109,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
         crate::progress::global_progress().begin_campaign("exporter_test", 10);
         crate::progress::global_progress().add_done(4);
-        let (status, body) = http_get(addr, "/progress").unwrap();
+        let (status, body) = client.get("/progress").unwrap();
         assert_eq!(status, 200);
         let doc = crate::json::parse(&body).expect("progress json parses");
         assert_eq!(
@@ -1644,12 +1119,13 @@ obs_span_max_ns{path=\"sim/step\"} 300
         assert_eq!(doc.get("total").and_then(|v| v.as_u64()), Some(10));
         assert_eq!(doc.get("done").and_then(|v| v.as_u64()), Some(4));
 
-        let (status, _) = http_get(addr, "/nope").unwrap();
+        let (status, _) = client.get("/nope").unwrap();
         assert_eq!(status, 404);
 
         // Requests were counted on the live registry.
         assert!(r.counter("obs.exporter.requests").get() >= 4);
 
+        drop(client);
         exporter.shutdown();
         // The port is released: a fresh bind to the same address works.
         assert!(TcpListener::bind(addr).is_ok());
@@ -1658,11 +1134,11 @@ obs_span_max_ns{path=\"sim/step\"} 300
     #[test]
     fn keep_alive_serves_many_requests_on_one_connection() {
         let r = Registry::new();
-        let exporter = Exporter::serve("127.0.0.1:0", r.clone()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r.clone(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let before = r.counter("obs.exporter.requests").get();
-        let mut client = HttpClient::connect(addr).unwrap();
+        let mut client = fail_fast(addr);
         for _ in 0..10 {
             let (status, body) = client.get("/healthz").unwrap();
             assert_eq!((status, body.as_str()), (200, "ok\n"));
@@ -1675,29 +1151,44 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
     #[test]
     fn connection_request_budget_is_enforced() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
-        let mut client = HttpClient::connect(addr).unwrap();
+        // A raw connection: `HttpClient` rolls its connection before the
+        // budget runs out, so it never sees the server close.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+        let mut carry = Vec::new();
+        let mut exchange = |stream: &mut TcpStream| {
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                .ok()?;
+            let HeadRead::Complete(head) = read_head(stream, &mut carry) else {
+                return None;
+            };
+            read_body(stream, &mut carry, "ok\n".len())?;
+            Some(String::from_utf8(head).unwrap())
+        };
         for i in 0..MAX_REQUESTS_PER_CONN {
-            let (status, _) = client.get("/health").unwrap_or_else(|e| {
-                panic!("request {i} within budget failed: {e}");
-            });
-            assert_eq!(status, 200);
+            let head =
+                exchange(&mut stream).unwrap_or_else(|| panic!("request {i} within budget failed"));
+            assert!(head.starts_with("HTTP/1.1 200 OK"), "request {i}: {head}");
+            // The last budgeted response announces the close.
+            let last = i + 1 == MAX_REQUESTS_PER_CONN;
+            assert_eq!(head.contains("Connection: close"), last, "request {i}");
         }
         // The server closed after the budgeted request; one more on the
         // same connection cannot be answered.
-        assert!(client.get("/health").is_err());
+        assert!(exchange(&mut stream).is_none());
         // A fresh connection works fine.
-        let mut fresh = HttpClient::connect(addr).unwrap();
-        assert_eq!(fresh.get("/health").unwrap().0, 200);
+        assert_eq!(fail_fast(addr).get("/healthz").unwrap().0, 200);
 
         exporter.shutdown();
     }
 
     #[test]
     fn pipelined_requests_are_served_in_order() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -1724,24 +1215,25 @@ obs_span_max_ns{path=\"sim/step\"} 300
     fn custom_routes_mount_beside_builtins() {
         let r = Registry::new();
         r.counter("hits").add(7);
-        let handler: RouteHandler = Arc::new(|path: &str| match path {
+        let handler: RequestHandler = Arc::new(|req: &HttpRequest| match req.path {
             "/echo" => Some(RouteResponse::json(200, "{\"ok\":true}")),
-            p if p.starts_with("/echo?") => Some(RouteResponse::text(200, p.to_string())),
+            p if p.starts_with("/echo?") => Some(RouteResponse::text(200, p)),
             _ => None,
         });
-        let exporter = Exporter::serve_with_routes("127.0.0.1:0", r, handler).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r, Some(handler), None).expect("bind");
         let addr = exporter.local_addr();
+        let mut client = fail_fast(addr);
 
-        let (status, body) = http_get(addr, "/echo").unwrap();
+        let (status, body) = client.get("/echo").unwrap();
         assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
         // The query string reaches the handler verbatim.
-        let (status, body) = http_get(addr, "/echo?x=1").unwrap();
+        let (status, body) = client.get("/echo?x=1").unwrap();
         assert_eq!((status, body.as_str()), (200, "/echo?x=1"));
         // Built-ins still win, unclaimed paths still 404.
-        let (status, body) = http_get(addr, "/metrics").unwrap();
+        let (status, body) = client.get("/metrics").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("hits_total 7"));
-        assert_eq!(http_get(addr, "/unclaimed").unwrap().0, 404);
+        assert_eq!(client.get("/unclaimed").unwrap().0, 404);
 
         exporter.shutdown();
     }
@@ -1764,7 +1256,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
     #[test]
     fn stalled_connection_does_not_wedge_other_clients() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         // Open a connection and send nothing: it sits in its handler
@@ -1774,7 +1266,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
         // Another client must still be served well before that timeout
         // elapses — the serial loop this replaced would block ~2 s here.
         let start = std::time::Instant::now();
-        let (status, body) = http_get(addr, "/healthz").unwrap();
+        let (status, body) = fail_fast(addr).get("/healthz").unwrap();
         let elapsed = start.elapsed();
         assert_eq!((status, body.as_str()), (200, "ok\n"));
         assert!(
@@ -1788,7 +1280,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
     #[test]
     fn overlong_request_line_gets_414() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -1809,7 +1301,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
     #[test]
     fn oversized_request_head_gets_431() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -1840,7 +1332,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
         // request line; the server must keep accumulating in the carry
         // buffer instead of treating a partial head as a request.
         let r = Registry::new();
-        let exporter = Exporter::serve("127.0.0.1:0", r.clone()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r.clone(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -1871,7 +1363,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
         // entirely from the carry buffer (no further socket read), and
         // both must be counted.
         let r = Registry::new();
-        let exporter = Exporter::serve("127.0.0.1:0", r.clone()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r.clone(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -1896,8 +1388,8 @@ obs_span_max_ns{path=\"sim/step\"} 300
     #[test]
     fn telemetry_counts_routes_latency_and_serves_slo() {
         let r = Registry::new();
-        let handler: RouteHandler = Arc::new(|path: &str| {
-            if !path.starts_with("/admit") {
+        let handler: RequestHandler = Arc::new(|req: &HttpRequest| {
+            if !req.path.starts_with("/admit") {
                 return None;
             }
             // The request ID must be visible to downstream code on the
@@ -1907,13 +1399,13 @@ obs_span_max_ns{path=\"sim/step\"} 300
         });
         let cfg = TelemetryConfig::new("svc-test")
             .with_slos(vec![crate::slo::SloSpec::availability("avail", 0.999)]);
-        let exporter = Exporter::serve_with_telemetry("127.0.0.1:0", r.clone(), Some(handler), cfg)
-            .expect("bind");
+        let exporter =
+            Exporter::serve("127.0.0.1:0", r.clone(), Some(handler), Some(cfg)).expect("bind");
         let addr = exporter.local_addr();
 
         // IDs are monotonically assigned in request order on one
         // connection.
-        let mut client = HttpClient::connect(addr).unwrap();
+        let mut client = fail_fast(addr);
         let (_, first) = client.get("/admit?class=0").unwrap();
         let (_, second) = client.get("/admit?class=1").unwrap();
         let id_of = |body: &str| {
@@ -1968,14 +1460,14 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
         exporter.shutdown();
         // Without telemetry, /slo falls through to 404.
-        let plain = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
-        assert_eq!(http_get(plain.local_addr(), "/slo").unwrap().0, 404);
+        let plain = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
+        assert_eq!(fail_fast(plain.local_addr()).get("/slo").unwrap().0, 404);
         plain.shutdown();
     }
 
     #[test]
     fn post_routes_round_trip_with_bodies() {
-        let handler: RequestHandler = Arc::new(|req: &HttpRequest| match req.path.as_str() {
+        let handler: RequestHandler = Arc::new(|req: &HttpRequest| match req.path {
             "/echo" if req.method == "POST" => {
                 Some(RouteResponse::text(200, format!("got:{}", req.body)))
             }
@@ -1983,10 +1475,10 @@ obs_span_max_ns{path=\"sim/step\"} 300
             _ => None,
         });
         let exporter =
-            Exporter::serve_requests("127.0.0.1:0", Registry::new(), handler, None).expect("bind");
+            Exporter::serve("127.0.0.1:0", Registry::new(), Some(handler), None).expect("bind");
         let addr = exporter.local_addr();
 
-        let mut client = HttpClient::connect(addr).unwrap();
+        let mut client = fail_fast(addr);
         // POST bodies reach the handler, keep-alive framing intact:
         // mixed POSTs and GETs ride the same connection.
         let (status, body) = client.post("/echo", "hello world").unwrap();
@@ -2002,8 +1494,8 @@ obs_span_max_ns{path=\"sim/step\"} 300
         drop(client);
 
         // Without a request handler, POST stays 405 as before.
-        let plain = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
-        let mut c = HttpClient::connect(plain.local_addr()).unwrap();
+        let plain = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
+        let mut c = fail_fast(plain.local_addr());
         assert_eq!(c.post("/metrics", "x").unwrap().0, 405);
         plain.shutdown();
         exporter.shutdown();
@@ -2014,7 +1506,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
         let handler: RequestHandler =
             Arc::new(|_req: &HttpRequest| Some(RouteResponse::text(200, "ok")));
         let exporter =
-            Exporter::serve_requests("127.0.0.1:0", Registry::new(), handler, None).expect("bind");
+            Exporter::serve("127.0.0.1:0", Registry::new(), Some(handler), None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -2038,6 +1530,47 @@ obs_span_max_ns{path=\"sim/step\"} 300
     }
 
     #[test]
+    fn unparseable_content_length_gets_400() {
+        let handler: RequestHandler =
+            Arc::new(|_req: &HttpRequest| Some(RouteResponse::text(200, "ok")));
+        let exporter =
+            Exporter::serve("127.0.0.1:0", Registry::new(), Some(handler), None).expect("bind");
+        let addr = exporter.local_addr();
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+        // Read as 0 the body would be parsed as the next request head.
+        let request = "POST /echo HTTP/1.1\r\nHost: t\r\nContent-Length: 5x\r\n\r\nhello";
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(
+            response.starts_with("HTTP/1.1 400 "),
+            "expected 400, got: {response}"
+        );
+        assert_eq!(response.matches("HTTP/1.1").count(), 1, "{response}");
+
+        exporter.shutdown();
+    }
+
+    #[test]
+    fn content_length_must_be_one_plain_decimal() {
+        let head = |lines: &str| format!("POST /x HTTP/1.1\r\n{lines}\r\n");
+        assert_eq!(content_length_of(&head("Host: t\r\n")), Some(0));
+        assert_eq!(content_length_of(&head("Content-Length: 12\r\n")), Some(12));
+        assert_eq!(
+            content_length_of(&head("content-length: 3\r\nContent-Length: 3\r\n")),
+            Some(3)
+        );
+        for bad in ["5x", "-1", "+5", "", "1 2"] {
+            let h = head(&format!("Content-Length: {bad}\r\n"));
+            assert_eq!(content_length_of(&h), None, "{bad:?}");
+        }
+        let disagree = head("Content-Length: 3\r\nContent-Length: 4\r\n");
+        assert_eq!(content_length_of(&disagree), None);
+    }
+
+    #[test]
     fn client_config_env_knobs_parse() {
         // Uses explicit values rather than set_var: the suite is
         // multi-threaded and env mutation races other tests.
@@ -2054,10 +1587,10 @@ obs_span_max_ns{path=\"sim/step\"} 300
     }
 
     #[test]
-    fn retrying_client_survives_connection_budget_and_counts_retries() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+    fn http_client_survives_connection_budget_and_counts_retries() {
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
-        let mut client = RetryingClient::with_config(addr, ClientConfig::default()).unwrap();
+        let mut client = HttpClient::connect(addr, ClientConfig::default()).unwrap();
         // Cross the per-connection request budget several times over: the
         // client reconnects proactively, so no request observes an error.
         for _ in 0..(2 * MAX_REQUESTS_PER_CONN + 7) {
@@ -2074,7 +1607,14 @@ obs_span_max_ns{path=\"sim/step\"} 300
             retries: 2,
             backoff_step: Duration::from_millis(1),
         };
-        let mut dead = RetryingClient::with_config(addr, cfg).unwrap();
+        let mut dead = HttpClient::connect(addr, cfg).unwrap();
+        assert!(dead.get("/healthz").is_err());
+        assert_eq!(crate::metrics().counter("client.retries").get(), before + 2);
+
+        // With `retries: 0` the first error comes back and nothing is
+        // counted. (Same test as above: the counter is process-global.)
+        let once = ClientConfig { retries: 0, ..cfg };
+        let mut dead = HttpClient::connect(addr, once).unwrap();
         assert!(dead.get("/healthz").is_err());
         assert_eq!(crate::metrics().counter("client.retries").get(), before + 2);
     }
@@ -2088,15 +1628,14 @@ obs_span_max_ns{path=\"sim/step\"} 300
         )
         .for_route("shard")]));
         let cfg = TelemetryConfig::new("campaignd-test").with_shared_slo(Arc::clone(&slo));
-        let exporter =
-            Exporter::serve_with_telemetry("127.0.0.1:0", r.clone(), None, cfg).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r.clone(), None, Some(cfg)).expect("bind");
         let addr = exporter.local_addr();
 
         // The host records synthetic (non-HTTP) events into the same set
         // the exporter serves at /slo.
         slo.record(&r, 0, "shard", 200, 0);
         slo.record(&r, 1, "shard", 503, 0);
-        let (status, body) = http_get(addr, "/slo").unwrap();
+        let (status, body) = fail_fast(addr).get("/slo").unwrap();
         assert_eq!(status, 200);
         let doc = crate::json::parse(&body).unwrap();
         let slos = match doc.get("slos") {

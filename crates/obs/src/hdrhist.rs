@@ -1,11 +1,9 @@
 //! Log-bucketed (HDR-style) latency histograms over integer nanoseconds.
 //!
-//! The fixed-width linear [`gps_stats::Histogram`] behind
-//! [`crate::metrics::Registry::histogram`] is the right tool for
-//! simulation quantities with a known range, but it cannot resolve a
-//! 460 ns cache hit and a 40 ms stall in one instrument: any linear
-//! binning wide enough for the stall is five orders of magnitude too
-//! coarse for the hit. [`HdrHistogram`] keeps *relative* resolution
+//! A fixed-width linear histogram cannot resolve a 460 ns cache hit and
+//! a 40 ms stall in one instrument: any linear binning wide enough for
+//! the stall is five orders of magnitude too coarse for the hit.
+//! [`HdrHistogram`] keeps *relative* resolution
 //! instead — bucket width grows with magnitude, like the classic
 //! HdrHistogram — so one instrument spans nanoseconds to minutes with a
 //! bounded worst-case quantile error.
@@ -27,7 +25,7 @@
 //! within bucket resolution). Quantile queries return the highest value
 //! equivalent to the bucket the rank lands in, mirroring the cumulative
 //! `le` semantics of the Prometheus exposition in
-//! [`crate::exporter::to_prometheus_text`].
+//! [`crate::prometheus::to_prometheus_text`].
 
 use std::sync::{Arc, Mutex};
 

@@ -8,9 +8,9 @@
 //!   NDJSON to a runtime-selectable sink ([`journal::Sink::Noop`] /
 //!   `Stderr` / `File`). The default is `Noop`: silent and
 //!   allocation-free, so library code can emit unconditionally.
-//! * [`metrics`](mod@metrics) — counters, gauges, histograms, and quantile summaries
-//!   (aggregation math reused from `gps_stats`), snapshotted to
-//!   deterministic JSON reports (`results/*_metrics.json`).
+//! * [`metrics`](mod@metrics) — counters, gauges, and HDR latency
+//!   histograms ([`hdrhist`]), snapshotted to deterministic JSON reports
+//!   (`results/*_metrics.json`).
 //! * [`span`](mod@span) — RAII wall-clock timers with hierarchical `/`-separated
 //!   labels for the hot paths (θ/ξ optimization, Perron iteration, the
 //!   simulator event loops), folded into the same registry.
@@ -19,12 +19,13 @@
 //!  output row counts) — and [`json`], the shared writer/parser.
 //!
 //! On top of the pillars sit the operable surfaces: [`exporter`] (a
-//! zero-dependency `/metrics` + `/progress` HTTP server in Prometheus
-//! text exposition format), [`monitor`] (online bound-violation
-//! detection against the paper's analytic tail curves), [`report`] (the
-//! static-HTML results dashboard), [`trace`] (the `GPS_OBS_TRACE`
-//! flight recorder exporting Chrome trace-event JSON), and [`progress`]
-//! (the live campaign progress tracker behind `/progress`).
+//! zero-dependency `/metrics` + `/progress` HTTP server and its client,
+//! with [`prometheus`] rendering the text exposition format), [`monitor`]
+//! (online bound-violation detection against the paper's analytic tail
+//! curves), [`report`] (the static-HTML results dashboard), [`trace`]
+//! (the `GPS_OBS_TRACE` flight recorder exporting Chrome trace-event
+//! JSON), and [`progress`] (the live campaign progress tracker behind
+//! `/progress`).
 //!
 //! # The global hub
 //!
@@ -58,14 +59,15 @@ pub mod manifest;
 pub mod metrics;
 pub mod monitor;
 pub mod progress;
+pub mod prometheus;
 pub mod report;
 pub mod slo;
 pub mod span;
 pub mod trace;
 
 pub use exporter::{
-    current_request_id, http_get, to_prometheus_text, ClientConfig, Exporter, HttpClient,
-    HttpRequest, RequestHandler, RetryingClient, RouteHandler, RouteResponse, TelemetryConfig,
+    current_request_id, ClientConfig, Exporter, HttpClient, HttpRequest, RequestHandler,
+    RouteResponse, TelemetryConfig,
 };
 pub use hdrhist::{HdrHandle, HdrHistogram, HdrSnapshot};
 pub use journal::{FieldValue, Journal, Level, ParsedEvent, SinkKind};
@@ -73,6 +75,7 @@ pub use manifest::RunManifest;
 pub use metrics::{labeled, Counter, Gauge, Registry, Snapshot, SpanStats};
 pub use monitor::{BoundCurve, BoundMonitor, SeriesKind, SessionCurves};
 pub use progress::{global_progress, Progress};
+pub use prometheus::to_prometheus_text;
 pub use slo::{SloSet, SloSpec, SloStatus};
 pub use span::Span;
 pub use trace::{TraceKind, TraceMode, TraceScope};

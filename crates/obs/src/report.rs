@@ -749,36 +749,6 @@ fn metrics_html(metrics: &Json) -> String {
         .collect();
     out.push_str(&kv_table("gauges", &gauges));
 
-    let summaries = obj_pairs(metrics.get("summaries"));
-    if !summaries.is_empty() {
-        out.push_str(
-            "<h4>summaries</h4><table><thead><tr><th>name</th><th>count</th>\
-             <th>mean</th><th>min</th><th>max</th><th>p50</th><th>p90</th>\
-             <th>p99</th></tr></thead><tbody>",
-        );
-        for (name, s) in &summaries {
-            let cell = |key: &str| match s.get(key) {
-                Some(v) => json_scalar(v),
-                None => "–".to_string(),
-            };
-            let _ = write!(
-                out,
-                "<tr><td>{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
-                 <td class=\"num\">{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
-                 <td class=\"num\">{}</td><td class=\"num\">{}</td></tr>",
-                html_escape(name),
-                cell("count"),
-                cell("mean"),
-                cell("min"),
-                cell("max"),
-                cell("p50"),
-                cell("p90"),
-                cell("p99"),
-            );
-        }
-        out.push_str("</tbody></table>");
-    }
-
     let spans = obj_pairs(metrics.get("spans"));
     if !spans.is_empty() {
         out.push_str(
@@ -1349,8 +1319,7 @@ mod tests {
                 metrics: Some(
                     json::parse(
                         "{\"counters\":{\"sim.measured_slots\":100},\"gauges\":{},\
-                         \"histograms\":{},\"summaries\":{\"s\":{\"count\":2,\"mean\":1.5,\
-                         \"min\":1,\"max\":2,\"p50\":1.5,\"p90\":2,\"p99\":2}}}",
+                         \"histograms\":{},\"summaries\":{}}",
                     )
                     .unwrap(),
                 ),

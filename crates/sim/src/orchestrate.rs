@@ -69,8 +69,8 @@ use crate::runner::{merge_single_node_reports, SingleNodeRunConfig, SingleNodeRu
 use crate::supervise::{
     checkpoint_line, decode_checkpoint_line, CheckpointFile, OnComplete, SimError, Supervisor,
 };
-use gps_obs::exporter::RetryingClient;
 use gps_obs::json::{self, Json};
+use gps_obs::{ClientConfig, HttpClient};
 use gps_par::{Pool, RetryPolicy, TaskOutcome};
 use gps_sources::SlotSource;
 use std::collections::BTreeMap;
@@ -760,13 +760,14 @@ impl ShardTransport for LocalTransport {
     }
 }
 
-/// HTTP transport against a `campaignd` coordinator: requests ride a
-/// [`RetryingClient`] (deterministic timeout/retry/backoff from
-/// `GPS_HTTP_TIMEOUT_MS` / `GPS_HTTP_RETRIES`), and `503` backpressure
-/// is absorbed with a bounded linear-backoff poll loop.
+/// HTTP transport against a `campaignd` coordinator: requests ride an
+/// [`HttpClient`] with the [`ClientConfig::from_env`] policy
+/// (deterministic timeout/retry/backoff from `GPS_HTTP_TIMEOUT_MS` /
+/// `GPS_HTTP_RETRIES`), and `503` backpressure is absorbed with a
+/// bounded linear-backoff poll loop.
 #[derive(Debug)]
 pub struct HttpTransport {
-    client: RetryingClient,
+    client: HttpClient,
     /// How many consecutive 503s to absorb before giving up.
     pub backpressure_budget: u32,
     /// Backoff step between 503 retries (linear, no jitter).
@@ -777,7 +778,7 @@ impl HttpTransport {
     /// A transport for the coordinator at `addr`.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<HttpTransport> {
         Ok(HttpTransport {
-            client: RetryingClient::connect(addr)?,
+            client: HttpClient::connect(addr, ClientConfig::from_env())?,
             backpressure_budget: 200,
             backpressure_step: Duration::from_millis(5),
         })
@@ -786,7 +787,7 @@ impl HttpTransport {
     fn roundtrip(
         &mut self,
         what: &str,
-        mut send: impl FnMut(&mut RetryingClient) -> std::io::Result<(u16, String)>,
+        mut send: impl FnMut(&mut HttpClient) -> std::io::Result<(u16, String)>,
     ) -> Result<(u16, String), String> {
         for attempt in 0..=self.backpressure_budget {
             let (status, body) = send(&mut self.client).map_err(|e| format!("{what}: {e}"))?;

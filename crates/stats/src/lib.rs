@@ -12,7 +12,6 @@
 //! * [`ccdf::BinnedCcdf`] — a bounded-memory CCDF over a fixed grid for very
 //!   long simulation runs;
 //! * [`quantile::P2Quantile`] — the P² streaming quantile estimator;
-//! * [`histogram::Histogram`] — fixed-width histograms;
 //! * [`batch::BatchMeans`] — batch-means confidence intervals for steady-state
 //!   simulation output analysis;
 //! * [`fit::ExponentialTailFit`] — least-squares fitting of `ln Pr{X >= x}`
@@ -35,7 +34,6 @@ pub mod autocorr;
 pub mod batch;
 pub mod ccdf;
 pub mod fit;
-pub mod histogram;
 pub mod moments;
 pub mod prop;
 pub mod quantile;
@@ -45,7 +43,6 @@ pub use autocorr::{autocorrelation, geometric_decay};
 pub use batch::BatchMeans;
 pub use ccdf::{BinnedCcdf, EmpiricalCcdf};
 pub use fit::ExponentialTailFit;
-pub use histogram::Histogram;
 pub use moments::StreamingMoments;
 pub use quantile::P2Quantile;
 pub use rng::{RngCore, RngExt, SeedSequence, Xoshiro256pp};

@@ -8,6 +8,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
+# The benchmark (gpsbench/, its own package) compiles against the
+# gps_obs and gps_sim::orchestrate APIs: build it here so an API change
+# that breaks it fails CI, not the benchmark run. Build only.
+echo "==> cargo build --release --offline --manifest-path gpsbench/Cargo.toml"
+cargo build --release --offline --manifest-path gpsbench/Cargo.toml
+
 # The test suite runs three times across the scheduling matrix: the
 # exact serial fallback (GPS_PAR_THREADS=1), a multi-worker pass with
 # single-replication chunks (GPS_PAR_THREADS=4 GPS_PAR_CHUNK=1, maximal
