@@ -22,9 +22,18 @@ pub struct QosTarget {
 }
 
 impl QosTarget {
-    /// Creates a target; panics on nonsensical parameters.
+    /// Creates a target.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `delay` is finite and positive and `epsilon` lies in
+    /// `(0, 1)`: an infinite delay threshold is met by every session, so no
+    /// bound could ever refuse one.
     pub fn new(delay: f64, epsilon: f64) -> Self {
-        assert!(delay > 0.0, "delay threshold must be positive");
+        assert!(
+            delay > 0.0 && delay.is_finite(),
+            "delay threshold must be finite and positive"
+        );
         assert!(
             epsilon > 0.0 && epsilon < 1.0,
             "violation probability must be in (0,1)"
@@ -306,5 +315,11 @@ mod tests {
     #[should_panic(expected = "violation probability")]
     fn target_validation() {
         let _ = QosTarget::new(1.0, 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "delay threshold must be finite and positive")]
+    fn target_rejects_infinite_delay() {
+        let _ = QosTarget::new(f64::INFINITY, 1e-6);
     }
 }

@@ -13,6 +13,11 @@
 //!    `GPS_RESULTS_DIR` environment variable, same convention as the
 //!    experiment binaries).
 //!
+//! [`BenchHarness::bench_interleaved_elems`] runs stage 2 for several
+//! related cases in alternation, so the differences between them (the
+//! costs of the layers of one loop, say) survive host drift that a
+//! one-case-after-another run would fold into them.
+//!
 //! Environment knobs: `GPS_BENCH_WARMUP_MS`, `GPS_BENCH_SAMPLE_MS`, and
 //! `GPS_BENCH_SAMPLES` override the defaults, so CI can run the suites in
 //! smoke mode (e.g. `GPS_BENCH_SAMPLES=3 GPS_BENCH_SAMPLE_MS=1`).
@@ -182,6 +187,15 @@ fn results_dir() -> PathBuf {
     }
 }
 
+/// Per-iteration time in nanoseconds of one timed batch of `iters` calls.
+fn time_batch<R>(iters: u64, mut f: impl FnMut() -> R) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    t0.elapsed().as_secs_f64() * 1e9 / iters as f64
+}
+
 /// A named suite of wall-clock benchmarks.
 pub struct BenchHarness {
     suite: String,
@@ -223,14 +237,49 @@ impl BenchHarness {
         self.run(name, Some(elements), f)
     }
 
+    /// Times the cases `0..names.len()` of `f` (called with the case
+    /// index) in alternation: each sample round times one batch of every
+    /// case in turn, so host drift during the run hits all cases alike
+    /// and the differences between them stay meaningful. Records one
+    /// result per name, each over `elements` items per iteration, and
+    /// returns their median times in order.
+    pub fn bench_interleaved_elems<R, F: FnMut(usize) -> R>(
+        &mut self,
+        names: &[&str],
+        elements: u64,
+        mut f: F,
+    ) -> Vec<f64> {
+        let iters: Vec<u64> = (0..names.len()).map(|k| self.calibrate(|| f(k))).collect();
+        let mut samples = vec![Vec::with_capacity(self.config.samples); names.len()];
+        for _ in 0..self.config.samples {
+            for (k, s) in samples.iter_mut().enumerate() {
+                s.push(time_batch(iters[k], || f(k)));
+            }
+        }
+        names
+            .iter()
+            .zip(iters)
+            .zip(samples)
+            .map(|((name, iters), s)| self.record(name, Some(elements), iters, s).median_ns)
+            .collect()
+    }
+
     fn run<R, F: FnMut() -> R>(
         &mut self,
         name: &str,
         elements: Option<u64>,
         mut f: F,
     ) -> &BenchResult {
-        // Warmup and calibration: run for the warmup budget (at least one
-        // iteration) and use the mean cost to size the timed batches.
+        let iters = self.calibrate(&mut f);
+        let samples_ns = (0..self.config.samples)
+            .map(|_| time_batch(iters, &mut f))
+            .collect();
+        self.record(name, elements, iters, samples_ns)
+    }
+
+    /// Warmup and calibration: runs `f` for the warmup budget (at least
+    /// one iteration) and uses the mean cost to size the timed batches.
+    fn calibrate<R>(&self, mut f: impl FnMut() -> R) -> u64 {
         let start = Instant::now();
         let mut warm_iters: u64 = 0;
         while warm_iters == 0 || start.elapsed() < self.config.warmup {
@@ -238,18 +287,17 @@ impl BenchHarness {
             warm_iters += 1;
         }
         let per_iter = start.elapsed().as_secs_f64() / warm_iters as f64;
-        let iters = ((self.config.sample_target.as_secs_f64() / per_iter).ceil() as u64).max(1);
+        ((self.config.sample_target.as_secs_f64() / per_iter).ceil() as u64).max(1)
+    }
 
-        let mut samples_ns = Vec::with_capacity(self.config.samples);
-        for _ in 0..self.config.samples {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            samples_ns.push(t0.elapsed().as_secs_f64() * 1e9 / iters as f64);
-        }
+    fn record(
+        &mut self,
+        name: &str,
+        elements: Option<u64>,
+        iters: u64,
+        mut samples_ns: Vec<f64>,
+    ) -> &BenchResult {
         samples_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
-
         let result = BenchResult {
             name: name.to_string(),
             iters_per_sample: iters,
@@ -408,8 +456,16 @@ mod tests {
         let mut h = BenchHarness::with_config("selftest", quick());
         h.bench("sum", || (0..100u64).sum::<u64>());
         h.bench_elems("sum_tp", 100, || (0..100u64).sum::<u64>());
+        let medians = h.bench_interleaved_elems(&["pair/a", "pair/b"], 100, |k| {
+            (0..100 * (k as u64 + 1)).sum::<u64>()
+        });
         let rs = h.results();
-        assert_eq!(rs.len(), 2);
+        assert_eq!(rs.len(), 4);
+        assert_eq!(
+            (rs[2].name.as_str(), rs[3].name.as_str()),
+            ("pair/a", "pair/b")
+        );
+        assert_eq!(medians, vec![rs[2].median_ns, rs[3].median_ns]);
         for r in rs {
             assert!(r.p10_ns <= r.median_ns && r.median_ns <= r.p90_ns);
             assert!(r.median_ns > 0.0);

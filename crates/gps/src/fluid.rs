@@ -77,9 +77,7 @@ pub fn water_fill_into(
 /// `demands.len()` elements; prior contents are overwritten) without
 /// re-checking the input invariants. Bit-identical to [`water_fill_into`]
 /// on the same row — the simulators' per-slot loops call this directly
-/// because their inputs are validated once at construction/arrival time,
-/// and [`water_fill_batch_into`] calls it per row after validating the
-/// whole batch once.
+/// because their inputs are validated once at construction/arrival time.
 ///
 /// Invariants the caller must guarantee (debug-asserted only):
 /// `alloc.len() == demands.len() == phis.len()`, `capacity >= 0`,
@@ -136,54 +134,6 @@ pub fn water_fill_unchecked(
         if remaining <= 1e-18 {
             break;
         }
-    }
-}
-
-/// Batched water-filling: allocates `capacity` independently for each of
-/// the `demands.len() / phis.len()` rows of the flat slot-major `demands`
-/// buffer (row `r` = `demands[r*n..(r+1)*n]`), writing the allocations
-/// into the matching rows of `alloc` (cleared and resized to
-/// `demands.len()`).
-///
-/// Row `r`'s output is bit-identical to
-/// `water_fill_into(&demands[r*n..(r+1)*n], phis, capacity, ..)` — the
-/// rows share the exact same arithmetic core — but the input validation
-/// (finite nonnegative demands, positive weights, nonnegative capacity)
-/// is hoisted out of the row loop and done once for the whole batch, so
-/// the per-row cost is branch-light. Campaign loops that precompute many
-/// slots' demands (or many replications' identical-shape demand rows)
-/// amortize validation and dispatch across the whole batch.
-///
-/// # Panics
-///
-/// Panics if `phis` is empty, `demands.len()` is not a multiple of
-/// `phis.len()`, or any input violates the [`water_fill_into`]
-/// invariants.
-pub fn water_fill_batch_into(
-    demands: &[f64],
-    phis: &[f64],
-    capacity: f64,
-    alloc: &mut Vec<f64>,
-    active: &mut Vec<usize>,
-) {
-    let n = phis.len();
-    assert!(n > 0, "need at least one session");
-    assert_eq!(
-        demands.len() % n,
-        0,
-        "flat demand buffer must hold whole rows of {n} sessions"
-    );
-    assert!(capacity >= 0.0, "capacity must be nonnegative");
-    assert!(
-        demands.iter().all(|&d| d >= 0.0),
-        "demands must be nonnegative"
-    );
-    assert!(phis.iter().all(|&p| p > 0.0), "weights must be positive");
-
-    alloc.clear();
-    alloc.resize(demands.len(), 0.0);
-    for (demand_row, alloc_row) in demands.chunks_exact(n).zip(alloc.chunks_exact_mut(n)) {
-        water_fill_unchecked(demand_row, phis, capacity, alloc_row, active);
     }
 }
 

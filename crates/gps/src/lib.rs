@@ -34,7 +34,7 @@ pub mod partition;
 
 pub use assignment::GpsAssignment;
 pub use decomposition::RateAllocation;
-pub use fluid::{water_fill, water_fill_batch_into, water_fill_into, water_fill_unchecked};
+pub use fluid::{water_fill, water_fill_into, water_fill_unchecked};
 pub use network::{NetworkTopology, NodeId, SessionId, SessionSpec};
 pub use ordering::{find_feasible_ordering, is_feasible_ordering};
 pub use partition::FeasiblePartition;

@@ -3,8 +3,8 @@
 //! harness in `gps_stats::prop`.
 
 use gps_core::{
-    find_feasible_ordering, is_feasible_ordering, water_fill, water_fill_batch_into,
-    water_fill_into, FeasiblePartition, GpsAssignment, RateAllocation,
+    find_feasible_ordering, is_feasible_ordering, water_fill, FeasiblePartition, GpsAssignment,
+    RateAllocation,
 };
 use gps_stats::prop::{vec_of, Strategy};
 use gps_stats::{prop_assert, prop_assert_eq, proptest};
@@ -12,25 +12,6 @@ use gps_stats::{prop_assert, prop_assert_eq, proptest};
 /// Strategy: 2..8 positive weights.
 fn phis() -> impl Strategy<Value = Vec<f64>> {
     vec_of(0.05f64..10.0, 2..8)
-}
-
-/// Deterministic per-(seed, row, session) demand in the same mixed
-/// finite/zero/infinite family the simulators feed the kernel.
-fn demand_at(seed: u64, row: usize, i: usize) -> f64 {
-    let h = seed
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add((row * 131 + i * 7 + 1) as u64)
-        % 12;
-    match h {
-        0 => f64::INFINITY, // always backlogged
-        1 => 0.0,           // idle session
-        h => h as f64 * 0.37,
-    }
-}
-
-/// Bit-exact equality (== would conflate -0.0/0.0 and reject NaN).
-fn bits_eq(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits()
 }
 
 proptest! {
@@ -119,87 +100,6 @@ proptest! {
         prop_assert!(p.lemma9_holds(&rhos, &eps, &a));
     }
 
-    fn batch_water_fill_matches_repeated_single_rows_bit_for_bit(
-        ph in phis(),
-        rows in 1usize..7,
-        cap in 0.0f64..3.0,
-        seed in 0u64..1000,
-    ) {
-        let n = ph.len();
-        let flat: Vec<f64> = (0..rows)
-            .flat_map(|r| (0..n).map(move |i| demand_at(seed, r, i)))
-            .collect();
-
-        let mut batch_alloc = Vec::new();
-        let mut batch_active = Vec::new();
-        water_fill_batch_into(&flat, &ph, cap, &mut batch_alloc, &mut batch_active);
-        prop_assert_eq!(batch_alloc.len(), rows * n);
-
-        let mut row_alloc = Vec::new();
-        let mut row_active = Vec::new();
-        for r in 0..rows {
-            water_fill_into(&flat[r * n..(r + 1) * n], &ph, cap, &mut row_alloc, &mut row_active);
-            for i in 0..n {
-                prop_assert!(
-                    bits_eq(batch_alloc[r * n + i], row_alloc[i]),
-                    "row {r} session {i}: batch {} != single {}",
-                    batch_alloc[r * n + i],
-                    row_alloc[i]
-                );
-            }
-        }
-    }
-
-    fn batch_water_fill_all_backlogged_is_weight_proportional_per_row(
-        ph in phis(),
-        rows in 1usize..5,
-        cap in 0.1f64..2.0,
-    ) {
-        let n = ph.len();
-        // Every session in every row permanently backlogged.
-        let flat = vec![f64::INFINITY; rows * n];
-        let mut alloc = Vec::new();
-        let mut active = Vec::new();
-        water_fill_batch_into(&flat, &ph, cap, &mut alloc, &mut active);
-        let single = water_fill(&vec![f64::INFINITY; n], &ph, cap);
-        for r in 0..rows {
-            for i in 0..n {
-                prop_assert!(
-                    bits_eq(alloc[r * n + i], single[i]),
-                    "row {r} diverges from the single-row kernel"
-                );
-            }
-        }
-        // And the classic φ-proportional split holds in each row.
-        let phi_sum: f64 = ph.iter().sum();
-        for r in 0..rows {
-            for i in 0..n {
-                let want = cap * ph[i] / phi_sum;
-                prop_assert!((alloc[r * n + i] - want).abs() < 1e-9 * cap.max(1.0));
-            }
-        }
-    }
-
-    fn batch_water_fill_single_session_rows(
-        rows in 1usize..6,
-        w in 0.05f64..10.0,
-        cap in 0.0f64..2.0,
-        seed in 0u64..200,
-    ) {
-        // n = 1: each row's lone session gets min(demand, capacity).
-        let flat: Vec<f64> = (0..rows).map(|r| demand_at(seed, r, 0)).collect();
-        let mut alloc = Vec::new();
-        let mut active = Vec::new();
-        water_fill_batch_into(&flat, &[w], cap, &mut alloc, &mut active);
-        let mut row_alloc = Vec::new();
-        let mut row_active = Vec::new();
-        for r in 0..rows {
-            water_fill_into(&flat[r..=r], &[w], cap, &mut row_alloc, &mut row_active);
-            prop_assert!(bits_eq(alloc[r], row_alloc[0]), "row {r}");
-            prop_assert!(alloc[r] <= flat[r].min(cap) + 1e-12);
-        }
-    }
-
     fn rate_allocations_stay_feasible(
         ph in phis(),
         load in 0.1f64..0.95,
@@ -224,50 +124,4 @@ proptest! {
             }
         }
     }
-}
-
-// Deterministic edge cases for the batched kernel that the strategies
-// above cannot hit (degenerate shapes and rejected inputs).
-
-#[test]
-fn batch_water_fill_zero_rows_is_empty() {
-    let mut alloc = vec![9.9; 3];
-    let mut active = Vec::new();
-    water_fill_batch_into(&[], &[1.0, 2.0], 1.0, &mut alloc, &mut active);
-    assert!(alloc.is_empty(), "no rows → no allocations");
-}
-
-#[test]
-fn batch_water_fill_zero_demand_rows_get_nothing() {
-    let mut alloc = Vec::new();
-    let mut active = Vec::new();
-    water_fill_batch_into(
-        &[0.0, 0.0, 0.0, 5.0],
-        &[1.0, 3.0],
-        1.0,
-        &mut alloc,
-        &mut active,
-    );
-    assert_eq!(&alloc[..2], &[0.0, 0.0], "all-idle row");
-    assert_eq!(alloc[2], 0.0);
-    assert!(
-        (alloc[3] - 1.0).abs() < 1e-12,
-        "lone demander takes the capacity"
-    );
-}
-
-#[test]
-#[should_panic(expected = "weights must be positive")]
-fn batch_water_fill_rejects_zero_weight() {
-    let mut alloc = Vec::new();
-    let mut active = Vec::new();
-    water_fill_batch_into(&[1.0, 1.0], &[1.0, 0.0], 1.0, &mut alloc, &mut active);
-}
-
-#[test]
-#[should_panic(expected = "whole rows")]
-fn batch_water_fill_rejects_ragged_buffer() {
-    let mut alloc = Vec::new();
-    let mut active = Vec::new();
-    water_fill_batch_into(&[1.0, 1.0, 1.0], &[1.0, 1.0], 1.0, &mut alloc, &mut active);
 }

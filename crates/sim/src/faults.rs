@@ -9,7 +9,7 @@
 
 use gps_obs::metrics::{labeled, Counter, Registry};
 use gps_sources::SlotSource;
-use gps_stats::rng::{RngCore, RngExt};
+use gps_stats::rng::{RngExt, Xoshiro256pp};
 
 /// Fault configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -174,13 +174,13 @@ impl<S: SlotSource> FaultySource<S> {
         self.counts
     }
 
-    fn coin(rng: &mut dyn RngCore, p: f64) -> bool {
+    fn coin(rng: &mut Xoshiro256pp, p: f64) -> bool {
         p > 0.0 && rng.bernoulli(p)
     }
 }
 
 impl<S: SlotSource> SlotSource for FaultySource<S> {
-    fn next_slot(&mut self, rng: &mut dyn RngCore) -> f64 {
+    fn next_slot(&mut self, rng: &mut Xoshiro256pp) -> f64 {
         let mut x = self.inner.next_slot(rng) * self.config.rate_scale;
         self.counts.slots += 1;
         if self.config.rate_scale != 1.0 {
@@ -227,7 +227,7 @@ impl<S: SlotSource> SlotSource for FaultySource<S> {
             .map(|p| p * self.config.rate_scale * 2.0)
     }
 
-    fn reset(&mut self, rng: &mut dyn RngCore) {
+    fn reset(&mut self, rng: &mut Xoshiro256pp) {
         self.inner.reset(rng)
     }
 }
@@ -236,7 +236,6 @@ impl<S: SlotSource> SlotSource for FaultySource<S> {
 mod tests {
     use super::*;
     use gps_sources::CbrSource;
-    use gps_stats::rng::Xoshiro256pp;
 
     #[test]
     fn no_faults_is_identity() {

@@ -7,7 +7,7 @@
 
 use crate::SlotSource;
 use gps_ebb::EbbProcess;
-use gps_stats::rng::RngCore;
+use gps_stats::rng::Xoshiro256pp;
 
 /// Deterministic constant-rate source.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,7 +38,7 @@ impl CbrSource {
 }
 
 impl SlotSource for CbrSource {
-    fn next_slot(&mut self, _rng: &mut dyn RngCore) -> f64 {
+    fn next_slot(&mut self, _rng: &mut Xoshiro256pp) -> f64 {
         self.rate
     }
 
@@ -50,13 +50,12 @@ impl SlotSource for CbrSource {
         Some(self.rate)
     }
 
-    fn reset(&mut self, _rng: &mut dyn RngCore) {}
+    fn reset(&mut self, _rng: &mut Xoshiro256pp) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_stats::rng::Xoshiro256pp;
 
     #[test]
     fn constant_emission() {

@@ -58,9 +58,16 @@ pub use video::video_source;
 /// Implementations are deterministic functions of their internal state and
 /// the RNG handed in — sources never own RNGs, so experiment harnesses
 /// control seeding centrally (see `gps_stats::rng::SeedSequence`).
+///
+/// The RNG is the workspace's one generator,
+/// [`Xoshiro256pp`](gps_stats::rng::Xoshiro256pp), passed by concrete
+/// type rather than as `&mut dyn RngCore`: campaigns hold sources as
+/// `Box<dyn SlotSource>`, and a trait-object RNG would add a second
+/// virtual call to every uniform draw inside the slot loop. Concrete, the
+/// generator inlines into each source's draw; the stream is the same.
 pub trait SlotSource {
     /// Produces the traffic amount for the next slot.
-    fn next_slot(&mut self, rng: &mut dyn gps_stats::rng::RngCore) -> f64;
+    fn next_slot(&mut self, rng: &mut gps_stats::rng::Xoshiro256pp) -> f64;
 
     /// Long-run mean rate of the source, if known analytically.
     fn mean_rate(&self) -> f64;
@@ -70,5 +77,5 @@ pub trait SlotSource {
 
     /// Resets the source to its initial state (stationary start where
     /// applicable). The next call to `next_slot` behaves as at construction.
-    fn reset(&mut self, rng: &mut dyn gps_stats::rng::RngCore);
+    fn reset(&mut self, rng: &mut gps_stats::rng::Xoshiro256pp);
 }

@@ -10,7 +10,7 @@
 //! depend on it: the relevant MGF matrix is `M(θ) = P · diag(e^{θ λ})`.
 
 use crate::SlotSource;
-use gps_stats::rng::{RngCore, RngExt};
+use gps_stats::rng::{RngExt, Xoshiro256pp};
 
 /// A finite-state Markov-modulated fluid source.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,20 +107,26 @@ impl MarkovSource {
         self.rates.iter().cloned().fold(0.0, f64::max)
     }
 
-    fn draw_next(&self, from: usize, rng: &mut dyn RngCore) -> usize {
-        let u = uniform01(rng);
+    fn draw_next(&self, from: usize, rng: &mut Xoshiro256pp) -> usize {
+        let u = rng.next_f64();
+        let row = &self.transition[from];
+        // Two states (every on-off source): the loop below returns 0 iff
+        // `u < 0.0 + row[0]` and 1 otherwise, so decide that directly.
+        if let [p0, _] = row[..] {
+            return if u < 0.0 + p0 { 0 } else { 1 };
+        }
         let mut acc = 0.0;
-        for (j, &p) in self.transition[from].iter().enumerate() {
+        for (j, &p) in row.iter().enumerate() {
             acc += p;
             if u < acc {
                 return j;
             }
         }
-        self.transition[from].len() - 1
+        row.len() - 1
     }
 
-    fn draw_stationary(&self, rng: &mut dyn RngCore) -> usize {
-        let u = uniform01(rng);
+    fn draw_stationary(&self, rng: &mut Xoshiro256pp) -> usize {
+        let u = rng.next_f64();
         let mut acc = 0.0;
         for (j, &p) in self.stationary.iter().enumerate() {
             acc += p;
@@ -133,7 +139,7 @@ impl MarkovSource {
 }
 
 impl SlotSource for MarkovSource {
-    fn next_slot(&mut self, rng: &mut dyn RngCore) -> f64 {
+    fn next_slot(&mut self, rng: &mut Xoshiro256pp) -> f64 {
         // Transition at the slot boundary, then emit at the new state's
         // rate: emission attributed to the destination state (see module
         // docs — this is the Table 2 convention).
@@ -149,14 +155,9 @@ impl SlotSource for MarkovSource {
         Some(self.peak())
     }
 
-    fn reset(&mut self, rng: &mut dyn RngCore) {
+    fn reset(&mut self, rng: &mut Xoshiro256pp) {
         self.state = self.draw_stationary(rng);
     }
-}
-
-/// Uniform f64 in [0, 1) from a dyn RngCore.
-fn uniform01(rng: &mut dyn RngCore) -> f64 {
-    rng.next_f64()
 }
 
 /// Stationary distribution by power iteration on `P^T`, with damping-free
@@ -189,7 +190,6 @@ pub fn stationary_distribution(p: &[Vec<f64>]) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_stats::rng::Xoshiro256pp;
 
     fn onoff_matrix(p: f64, q: f64) -> Vec<Vec<f64>> {
         vec![vec![1.0 - p, p], vec![q, 1.0 - q]]

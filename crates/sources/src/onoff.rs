@@ -10,7 +10,7 @@
 
 use crate::markov::MarkovSource;
 use crate::SlotSource;
-use gps_stats::rng::RngCore;
+use gps_stats::rng::Xoshiro256pp;
 
 /// A two-state on-off Markov fluid source.
 ///
@@ -120,7 +120,7 @@ impl OnOffSource {
 }
 
 impl SlotSource for OnOffSource {
-    fn next_slot(&mut self, rng: &mut dyn RngCore) -> f64 {
+    fn next_slot(&mut self, rng: &mut Xoshiro256pp) -> f64 {
         self.inner.next_slot(rng)
     }
 
@@ -132,7 +132,7 @@ impl SlotSource for OnOffSource {
         Some(self.lambda)
     }
 
-    fn reset(&mut self, rng: &mut dyn RngCore) {
+    fn reset(&mut self, rng: &mut Xoshiro256pp) {
         self.inner.reset(rng)
     }
 }
@@ -140,7 +140,6 @@ impl SlotSource for OnOffSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_stats::rng::Xoshiro256pp;
 
     #[test]
     fn table1_means() {

@@ -9,7 +9,7 @@
 use crate::SlotSource;
 use gps_ebb::numeric::bisect;
 use gps_ebb::EbbProcess;
-use gps_stats::rng::{RngCore, RngExt};
+use gps_stats::rng::{RngExt, Xoshiro256pp};
 
 /// Compound Poisson slot source: `Poisson(lambda)` units of size `b` per
 /// slot.
@@ -69,7 +69,7 @@ impl PoissonSource {
 }
 
 impl SlotSource for PoissonSource {
-    fn next_slot(&mut self, rng: &mut dyn RngCore) -> f64 {
+    fn next_slot(&mut self, rng: &mut Xoshiro256pp) -> f64 {
         rng.poisson(self.lambda) as f64 * self.unit
     }
 
@@ -81,7 +81,7 @@ impl SlotSource for PoissonSource {
         None // unbounded
     }
 
-    fn reset(&mut self, _rng: &mut dyn RngCore) {
+    fn reset(&mut self, _rng: &mut Xoshiro256pp) {
         // Memoryless: nothing to reset.
     }
 }
@@ -89,7 +89,6 @@ impl SlotSource for PoissonSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_stats::rng::Xoshiro256pp;
 
     #[test]
     fn effective_bandwidth_limits() {

@@ -12,7 +12,7 @@
 
 use crate::token_bucket::LeakyBucket;
 use crate::SlotSource;
-use gps_stats::rng::RngCore;
+use gps_stats::rng::Xoshiro256pp;
 
 /// Wraps a source with a shedding `(σ, ρ)` token-bucket policer: each
 /// slot the inner amount is offered to the bucket and only the
@@ -89,7 +89,7 @@ impl<S: SlotSource> TokenShedSource<S> {
 }
 
 impl<S: SlotSource> SlotSource for TokenShedSource<S> {
-    fn next_slot(&mut self, rng: &mut dyn RngCore) -> f64 {
+    fn next_slot(&mut self, rng: &mut Xoshiro256pp) -> f64 {
         let raw = self.inner.next_slot(rng);
         let admitted = self.bucket.offer(raw);
         self.offered += raw;
@@ -115,7 +115,7 @@ impl<S: SlotSource> SlotSource for TokenShedSource<S> {
         })
     }
 
-    fn reset(&mut self, rng: &mut dyn RngCore) {
+    fn reset(&mut self, rng: &mut Xoshiro256pp) {
         self.inner.reset(rng);
         self.bucket = LeakyBucket::new(self.bucket.sigma(), self.bucket.rho());
         self.offered = 0.0;
@@ -127,7 +127,6 @@ impl<S: SlotSource> SlotSource for TokenShedSource<S> {
 mod tests {
     use super::*;
     use crate::{CbrSource, OnOffSource};
-    use gps_stats::rng::Xoshiro256pp;
 
     #[test]
     fn conforming_traffic_passes_untouched() {

@@ -9,7 +9,7 @@
 
 use crate::SlotSource;
 use gps_ebb::EbbProcess;
-use gps_stats::rng::RngCore;
+use gps_stats::rng::Xoshiro256pp;
 use gps_stats::{EmpiricalCcdf, ExponentialTailFit};
 
 /// A finite per-slot arrival trace.
@@ -33,7 +33,7 @@ impl ArrivalTrace {
     }
 
     /// Records `n` slots from a source.
-    pub fn record<S: SlotSource>(src: &mut S, n: usize, rng: &mut dyn RngCore) -> Self {
+    pub fn record<S: SlotSource>(src: &mut S, n: usize, rng: &mut Xoshiro256pp) -> Self {
         Self::new((0..n).map(|_| src.next_slot(rng)).collect())
     }
 
@@ -136,7 +136,6 @@ impl ArrivalTrace {
 mod tests {
     use super::*;
     use crate::onoff::OnOffSource;
-    use gps_stats::rng::Xoshiro256pp;
 
     #[test]
     fn cumulative_and_mean() {

@@ -153,12 +153,16 @@ impl BinnedCcdf {
     }
 
     /// Adds one observation.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(t <= x)` also stops on NaN
     pub fn push(&mut self, x: f64) {
         self.total += 1;
-        // Thresholds are sorted: find the first threshold strictly above x;
-        // everything before it is exceeded (x >= t).
-        let k = self.thresholds.partition_point(|&t| t <= x);
-        for c in &mut self.exceed[..k] {
+        // Thresholds are sorted, so the exceeded ones (t <= x) form a
+        // prefix. Walk it instead of bisecting: simulated tails are light
+        // and most observations exceed only the first threshold or two.
+        for (&t, c) in self.thresholds.iter().zip(&mut self.exceed) {
+            if !(t <= x) {
+                break;
+            }
             *c += 1;
         }
     }
@@ -320,6 +324,43 @@ mod tests {
                 (binned.tail_at(i) - exact.tail(t)).abs() < 1e-12,
                 "mismatch at threshold {t}"
             );
+        }
+    }
+
+    #[test]
+    fn binned_push_matches_partition_point_reference() {
+        // The bisection `push` used before the linear walk.
+        let reference = |grid: &[f64], x: f64| grid.partition_point(|&t| t <= x);
+        let grids = [
+            vec![0.0, 0.5, 1.0, 2.5, 7.0],
+            vec![-0.0, 1.0, 2.0],
+            vec![-1.0, 0.0, 3.0],
+            vec![4.0],
+        ];
+        for grid in grids {
+            let mut probes = vec![0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            for w in grid.windows(2) {
+                probes.push(0.5 * (w[0] + w[1]));
+            }
+            for &t in &grid {
+                probes.extend([t, t - 1e-9, t + 1e-9]);
+            }
+            probes.extend([grid[0] - 1.0, grid[grid.len() - 1] + 1.0]);
+            let mut all = BinnedCcdf::new(grid.clone());
+            let mut want = vec![0u64; grid.len()];
+            for &x in &probes {
+                let mut one = BinnedCcdf::new(grid.clone());
+                one.push(x);
+                all.push(x);
+                let k = reference(&grid, x);
+                let expect: Vec<u64> = (0..grid.len()).map(|i| u64::from(i < k)).collect();
+                assert_eq!(one.exceed_counts(), &expect[..], "grid {grid:?}, x = {x:?}");
+                for c in &mut want[..k] {
+                    *c += 1;
+                }
+            }
+            assert_eq!(all.exceed_counts(), &want[..], "grid {grid:?}");
+            assert_eq!(all.len(), probes.len() as u64);
         }
     }
 

@@ -121,7 +121,7 @@ impl Superposition {
 }
 
 impl SlotSource for Superposition {
-    fn next_slot(&mut self, rng: &mut dyn gps_qos::stats::rng::RngCore) -> f64 {
+    fn next_slot(&mut self, rng: &mut gps_qos::stats::rng::Xoshiro256pp) -> f64 {
         self.parts.iter_mut().map(|p| p.next_slot(rng)).sum()
     }
 
@@ -133,7 +133,7 @@ impl SlotSource for Superposition {
         self.parts.iter().map(|p| p.peak_rate()).sum()
     }
 
-    fn reset(&mut self, rng: &mut dyn gps_qos::stats::rng::RngCore) {
+    fn reset(&mut self, rng: &mut gps_qos::stats::rng::Xoshiro256pp) {
         for p in &mut self.parts {
             p.reset(rng);
         }

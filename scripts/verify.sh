@@ -234,4 +234,15 @@ if [ "$hash1" != "$hash2" ]; then
     exit 1
 fi
 
+# Committed artifacts: both validation campaigns must reproduce the
+# CSVs in results/ byte-for-byte. Refactors and speedups of the slot
+# kernel, the sources or the CCDF recorder may not move a single bit.
+echo "==> validate_single + validate_network reproduce results/ byte-for-byte"
+art="$(mktemp -d)"
+trap 'rm -rf "$adm" "$tmp_results" "$tr_a" "$tr_b" "$sup_a" "$sup_b" "$dist" "$art"' EXIT
+GPS_RESULTS_DIR="$art" ./target/release/validate_single --quiet > /dev/null
+GPS_RESULTS_DIR="$art" ./target/release/validate_network --quiet > /dev/null
+cmp "$art/validate_single.csv" results/validate_single.csv
+cmp "$art/validate_network.csv" results/validate_network.csv
+
 echo "verify.sh: all checks passed"

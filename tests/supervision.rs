@@ -280,7 +280,7 @@ struct PanicMidRun {
 }
 
 impl SlotSource for PanicMidRun {
-    fn next_slot(&mut self, rng: &mut dyn gps_stats::rng::RngCore) -> f64 {
+    fn next_slot(&mut self, rng: &mut gps_stats::rng::Xoshiro256pp) -> f64 {
         self.after -= 1;
         assert!(self.after > 0, "injected mid-run panic");
         self.inner.next_slot(rng)
@@ -291,7 +291,7 @@ impl SlotSource for PanicMidRun {
     fn peak_rate(&self) -> Option<f64> {
         self.inner.peak_rate()
     }
-    fn reset(&mut self, rng: &mut dyn gps_stats::rng::RngCore) {
+    fn reset(&mut self, rng: &mut gps_stats::rng::Xoshiro256pp) {
         self.inner.reset(rng);
     }
 }
