@@ -99,8 +99,10 @@ pub struct SingleNodeScratch {
 }
 
 /// Rebuilds the per-source RNG streams of master seed `seed` in `rngs`
-/// and resets every source on its stream.
-fn reseed<'a>(
+/// and resets every source on its stream: the start of every
+/// replication. Public so benches can drive the same streams a run
+/// draws from.
+pub fn reseed<'a>(
     rngs: &'a mut Vec<Xoshiro256pp>,
     sources: &mut [Box<dyn SlotSource>],
     seed: u64,

@@ -26,7 +26,7 @@
 use crate::spectral::perron;
 use gps_ebb::numeric::bisect;
 use gps_ebb::TailBound;
-use gps_stats::rng::{RngCore, RngExt};
+use gps_stats::rng::{RngExt, Xoshiro256pp};
 
 /// A continuous-time Markov-modulated fluid source.
 #[derive(Debug, Clone, PartialEq)]
@@ -215,10 +215,10 @@ impl CtmcFluidSource {
     /// Samples the next sojourn: returns `(duration, rate_during, next
     /// state entered at the end)`. Starts from the current state; call
     /// [`Self::reset_stationary`] first for a stationary start.
-    pub fn next_segment(&mut self, rng: &mut dyn RngCore) -> (f64, f64) {
+    pub fn next_segment(&mut self, rng: &mut Xoshiro256pp) -> (f64, f64) {
         let i = self.state;
         let total_rate = -self.generator[i][i];
-        let u = uniform01(rng).max(1e-300);
+        let u = rng.next_f64().max(1e-300);
         let duration = if total_rate > 0.0 {
             -u.ln() / total_rate
         } else {
@@ -227,7 +227,7 @@ impl CtmcFluidSource {
         let rate = self.rates[i];
         // Jump.
         if total_rate > 0.0 {
-            let mut v = uniform01(rng) * total_rate;
+            let mut v = rng.next_f64() * total_rate;
             for (j, &q) in self.generator[i].iter().enumerate() {
                 if j == i {
                     continue;
@@ -243,8 +243,8 @@ impl CtmcFluidSource {
     }
 
     /// Draws the state from the stationary distribution.
-    pub fn reset_stationary(&mut self, rng: &mut dyn RngCore) {
-        let u = uniform01(rng);
+    pub fn reset_stationary(&mut self, rng: &mut Xoshiro256pp) {
+        let u = rng.next_f64();
         let mut acc = 0.0;
         for (j, &p) in self.stationary.iter().enumerate() {
             acc += p;
@@ -257,14 +257,9 @@ impl CtmcFluidSource {
     }
 }
 
-fn uniform01(rng: &mut dyn RngCore) -> f64 {
-    rng.next_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_stats::rng::Xoshiro256pp;
 
     fn onoff() -> CtmcFluidSource {
         CtmcFluidSource::on_off(1.0, 2.0, 0.9) // on-fraction 1/3, mean 0.3
