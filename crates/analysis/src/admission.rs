@@ -48,7 +48,7 @@ impl QosTarget {
 /// Under RPPS with `n` identical sessions, `g = rate/n`, and the session
 /// is admissible when `g > ρ` and the delay bound at `target.delay` is at
 /// most `target.epsilon`.
-pub fn rpps_admits(
+pub(crate) fn rpps_admits(
     session: EbbProcess,
     n: usize,
     rate: f64,
@@ -66,16 +66,14 @@ pub fn rpps_admits(
     delay_bound.tail(target.delay) <= target.epsilon
 }
 
-/// Cap on the exponential bracket search: session counts beyond this are
-/// reported as exactly [`RPPS_SESSION_CAP`] ("effectively unbounded").
-/// The canonical value — the first power of two past `1 << 30` — makes the
-/// capped result independent of the search path, which is what lets
-/// [`max_rpps_sessions_from`] warm-start without changing any answer.
-pub const RPPS_SESSION_CAP: usize = 1 << 31;
+/// Cap on the exponential bracket search (the first power of two past
+/// `1 << 30`): session counts beyond this are reported as exactly
+/// [`RPPS_SESSION_CAP`] ("effectively unbounded").
+pub(crate) const RPPS_SESSION_CAP: usize = 1 << 31;
 
 /// The largest `n` such that `n` homogeneous sessions are admissible
 /// (binary search over the monotone predicate). Returns 0 if even one
-/// session fails, and [`RPPS_SESSION_CAP`] when the count is effectively
+/// session fails, and `RPPS_SESSION_CAP` when the count is effectively
 /// unbounded (still admissible at the cap).
 pub fn max_rpps_sessions(
     session: EbbProcess,
@@ -98,73 +96,7 @@ pub fn max_rpps_sessions(
     if rpps_admits(session, hi, rate, target, model) {
         return RPPS_SESSION_CAP; // hi == cap and still admissible
     }
-    let lo = hi / 2; // admissible
-    bisect_admission_boundary(session, rate, target, model, lo, hi)
-}
-
-/// [`max_rpps_sessions`] warm-started from a previous answer for a nearby
-/// configuration (the admission engine re-asks after each single
-/// arrival/departure). Galloping out from `hint` finds a bracket in
-/// O(log |n* − hint|) probes instead of O(log n*), and because the
-/// admissible set of a monotone predicate has a *unique* boundary the
-/// result is bit-identical to the cold search — pinned by tests.
-pub fn max_rpps_sessions_from(
-    session: EbbProcess,
-    rate: f64,
-    target: QosTarget,
-    model: TimeModel,
-    hint: usize,
-) -> usize {
-    if !rpps_admits(session, 1, rate, target, model) {
-        return 0;
-    }
-    let mut lo; // admissible
-    let mut hi; // inadmissible
-    let h = hint.clamp(1, RPPS_SESSION_CAP);
-    if rpps_admits(session, h, rate, target, model) {
-        lo = h;
-        let mut step = 1usize;
-        loop {
-            let probe = lo.saturating_add(step).min(RPPS_SESSION_CAP);
-            if rpps_admits(session, probe, rate, target, model) {
-                lo = probe;
-                if lo == RPPS_SESSION_CAP {
-                    return RPPS_SESSION_CAP;
-                }
-                step *= 2;
-            } else {
-                hi = probe;
-                break;
-            }
-        }
-    } else {
-        hi = h;
-        let mut step = 1usize;
-        loop {
-            let probe = hi.saturating_sub(step).max(1);
-            if rpps_admits(session, probe, rate, target, model) {
-                lo = probe;
-                break;
-            }
-            // probe > 1 here: n = 1 was admitted above, so the gallop
-            // always terminates before the floor.
-            hi = probe;
-            step *= 2;
-        }
-    }
-    bisect_admission_boundary(session, rate, target, model, lo, hi)
-}
-
-/// Shrinks an `(admissible lo, inadmissible hi)` bracket to the boundary
-/// and returns the largest admissible count.
-fn bisect_admission_boundary(
-    session: EbbProcess,
-    rate: f64,
-    target: QosTarget,
-    model: TimeModel,
-    mut lo: usize,
-    mut hi: usize,
-) -> usize {
+    let mut lo = hi / 2; // admissible
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
         if rpps_admits(session, mid, rate, target, model) {
@@ -176,26 +108,25 @@ fn bisect_admission_boundary(
     lo
 }
 
-/// The deterministic stability ceiling `floor(rate/ρ)` (sessions whose
-/// mean envelope fits; ignores delay targets). Utilization gain reports
-/// compare [`max_rpps_sessions`] against the deterministic-delay-bound
-/// admission count from `gps-netcalc`.
-pub fn stability_ceiling(session: EbbProcess, rate: f64) -> usize {
-    if session.rho <= 0.0 {
-        return usize::MAX;
-    }
-    let n = (rate / session.rho).floor() as usize;
-    // Strict inequality Σρ < r: if it divides exactly, one less.
-    if n as f64 * session.rho >= rate {
-        n.saturating_sub(1)
-    } else {
-        n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The deterministic stability ceiling `floor(rate/ρ)` (sessions whose
+    /// mean envelope fits; ignores delay targets): the reference that
+    /// [`max_rpps_sessions`] may never exceed.
+    fn stability_ceiling(session: EbbProcess, rate: f64) -> usize {
+        if session.rho <= 0.0 {
+            return usize::MAX;
+        }
+        let n = (rate / session.rho).floor() as usize;
+        // Strict inequality Σρ < r: if it divides exactly, one less.
+        if n as f64 * session.rho >= rate {
+            n.saturating_sub(1)
+        } else {
+            n
+        }
+    }
 
     fn voice_like() -> EbbProcess {
         // Table 2 session 1 (set 1) as a template.
@@ -271,37 +202,6 @@ mod tests {
         // The reported count itself is admissible — the old answer was,
         // too, but it claimed a boundary one below an admissible point.
         assert!(rpps_admits(s, n, 1.0, t, TimeModel::Discrete));
-    }
-
-    #[test]
-    fn warm_start_matches_cold_search_for_any_hint() {
-        let s = voice_like();
-        let t = QosTarget::new(5.0, 1e-6);
-        let cold = max_rpps_sessions(s, 1.0, t, TimeModel::Discrete);
-        for hint in [
-            1usize,
-            2,
-            cold.saturating_sub(1),
-            cold,
-            cold + 1,
-            cold * 8,
-            1 << 20,
-        ] {
-            let warm = max_rpps_sessions_from(s, 1.0, t, TimeModel::Discrete, hint);
-            assert_eq!(warm, cold, "hint {hint}");
-        }
-    }
-
-    #[test]
-    fn warm_start_matches_cold_at_the_cap() {
-        let s = EbbProcess::new(1e-12, 1e-15, 1.0);
-        let t = QosTarget::new(1e6, 0.5);
-        for hint in [1usize, 1000, RPPS_SESSION_CAP] {
-            assert_eq!(
-                max_rpps_sessions_from(s, 1.0, t, TimeModel::Discrete, hint),
-                RPPS_SESSION_CAP
-            );
-        }
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl ClassBasedGps {
     }
 
     /// The true GPS guaranteed rate of class `c`: `φ̃_c·rate/Σφ̃`.
-    pub fn true_class_rate(&self, c: usize) -> f64 {
+    pub(crate) fn true_class_rate(&self, c: usize) -> f64 {
         let total_phi: f64 = self.classes.iter().map(|x| x.phi).sum();
         self.classes[c].phi / total_phi * self.rate
     }
@@ -164,7 +164,7 @@ impl ClassBasedGps {
     /// members/classes; the Hölder variant follows Theorem 12 and is
     /// omitted here for brevity — members of one class are typically
     /// engineered homogeneous and independent).
-    pub fn class_backlog_at(&self, c: usize, theta: f64) -> Option<TailBound> {
+    pub(crate) fn class_backlog_at(&self, c: usize, theta: f64) -> Option<TailBound> {
         chernoff_combine(&self.terms_for(c), theta, self.model)
     }
 

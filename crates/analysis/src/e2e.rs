@@ -6,11 +6,11 @@
 //! routes". This module implements two rigorous combination rules for
 //! per-node bounds `Pr{D_m >= x} <= Λ_m e^{-θ_m x}`:
 //!
-//! * [`e2e_delay_split`] — the **union/split** rule: for any budget split
+//! * `e2e_delay_split` — the **union/split** rule: for any budget split
 //!   `Σ d_m = d`, `Pr{Σ D_m >= d} <= Σ_m Λ_m e^{-θ_m d_m}`; the split is
 //!   optimized in closed form by equalizing the marginal decay
 //!   (water-filling on `θ_m d_m - ln Λ_m`).
-//! * [`e2e_delay_mgf`] — the **MGF/Hölder** rule: each tail bound implies
+//! * `e2e_delay_mgf` — the **MGF/Hölder** rule: each tail bound implies
 //!   the MGF envelope `E e^{s D_m} <= 1 + s Λ_m/(θ_m - s)` (the Eq. 19
 //!   trick with `ρ = 0`), and Hölder's inequality combines the nodes
 //!   without any independence assumption; the Chernoff parameter is then
@@ -36,7 +36,7 @@ use gps_ebb::TailBound;
 /// Returns the tail-probability bound at end-to-end delay `d` (clamped to
 /// 1), or 1.0 for `d <= 0`. Empty input means zero delay: returns 0 for
 /// `d > 0`.
-pub fn e2e_delay_split(bounds: &[TailBound], d: f64) -> f64 {
+pub(crate) fn e2e_delay_split(bounds: &[TailBound], d: f64) -> f64 {
     if bounds.is_empty() {
         return if d > 0.0 { 0.0 } else { 1.0 };
     }
@@ -93,7 +93,7 @@ pub fn e2e_delay_split(bounds: &[TailBound], d: f64) -> f64 {
 ///
 /// Needs no independence between the per-node delays (they are correlated
 /// through shared queues). Returns the bound at `d` (clamped to 1).
-pub fn e2e_delay_mgf(bounds: &[TailBound], d: f64) -> f64 {
+pub(crate) fn e2e_delay_mgf(bounds: &[TailBound], d: f64) -> f64 {
     if bounds.is_empty() {
         return if d > 0.0 { 0.0 } else { 1.0 };
     }

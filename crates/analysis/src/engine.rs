@@ -42,7 +42,7 @@ use crate::admission::QosTarget;
 use crate::theta_opt::try_optimize_tail_seeded;
 use gps_ebb::mgf::optimal_xi;
 use gps_ebb::{delta_mgf_log, DeltaTailBound, EbbProcess, TailBound, TimeModel};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// Default cache capacity when `GPS_ADMIT_CACHE_CAP` is unset.
 pub const DEFAULT_CACHE_CAP: usize = 65_536;
@@ -69,7 +69,7 @@ fn fnv1a(text: &str) -> u64 {
 
 /// FNV-1a fingerprint of a traffic class: source parameters, QoS target,
 /// and time model, every float by its exact bit pattern.
-pub fn fingerprint_class(source: EbbProcess, target: QosTarget, model: TimeModel) -> u64 {
+pub(crate) fn fingerprint_class(source: EbbProcess, target: QosTarget, model: TimeModel) -> u64 {
     let mut s = String::from("class;");
     for (label, v) in [
         ("rho", source.rho),
@@ -188,10 +188,6 @@ impl BoundCache {
         self.by_stamp.insert(self.tick, key);
     }
 
-    fn contains(&self, key: &CertKey) -> bool {
-        self.cap > 0 && self.map.contains_key(key)
-    }
-
     fn len(&self) -> usize {
         self.map.len()
     }
@@ -199,7 +195,7 @@ impl BoundCache {
 
 /// Reads `GPS_ADMIT_CACHE_CAP` (0 disables the cache); defaults to
 /// [`DEFAULT_CACHE_CAP`].
-pub fn cache_cap_from_env() -> usize {
+pub(crate) fn cache_cap_from_env() -> usize {
     std::env::var("GPS_ADMIT_CACHE_CAP")
         .ok()
         .and_then(|v| v.trim().parse().ok())
@@ -281,7 +277,7 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// The two request kinds [`AdmissionEngine::admit_batch`] accepts.
+/// The two request kinds [`AdmissionEngine::decide`] accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestKind {
     /// Ask to add one session of the class.
@@ -290,7 +286,7 @@ pub enum RequestKind {
     Depart,
 }
 
-/// One batched request.
+/// One admission request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Class index.
@@ -401,7 +397,7 @@ pub struct AdmissionEngine {
 
 impl AdmissionEngine {
     /// Builds an engine with the cache capacity from
-    /// [`cache_cap_from_env`].
+    /// `cache_cap_from_env`.
     pub fn new(
         classes: Vec<ClassSpec>,
         rate: f64,
@@ -516,11 +512,6 @@ impl AdmissionEngine {
         self.cache.stats
     }
 
-    /// Live cache entry count.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Decision counters.
     pub fn stats(&self) -> EngineStats {
         self.stats
@@ -630,8 +621,8 @@ impl AdmissionEngine {
         Some(bound)
     }
 
-    /// The pure certificate computation (no cache, no hint mutation):
-    /// used by both the miss path and the parallel batch prefetch.
+    /// The pure certificate computation (no cache, no hint mutation)
+    /// behind the miss path.
     fn compute_certificate(
         &self,
         j: usize,
@@ -703,7 +694,7 @@ impl AdmissionEngine {
 
     /// Whether the hypothetical mix `counts` is admissible under the
     /// configured backend. Exposed for the monotonicity property tests.
-    pub fn mix_admissible(&mut self, counts: &[u64]) -> bool {
+    pub(crate) fn mix_admissible(&mut self, counts: &[u64]) -> bool {
         assert_eq!(counts.len(), self.classes.len());
         match self.backend {
             CertBackend::Rpps => self.rpps_mix_admissible(counts),
@@ -861,133 +852,6 @@ impl AdmissionEngine {
         match req.kind {
             RequestKind::Admit => self.admit(req.class),
             RequestKind::Depart => self.depart(req.class),
-        }
-    }
-
-    /// Batched decisions: semantically identical to calling
-    /// [`decide`](Self::decide) in order (the sequential fold is the
-    /// authority), but cache misses the batch will need are predicted up
-    /// front and computed on the `gps_par` chunked pool. The prediction
-    /// simulates the optimistic all-admits path; a mispredicted key is
-    /// just a cache miss computed serially, so the decision stream is
-    /// byte-identical for every `GPS_PAR_THREADS` — and to the unbatched
-    /// stream.
-    pub fn admit_batch(&mut self, reqs: &[Request]) -> Vec<Decision> {
-        self.prefetch(reqs);
-        reqs.iter().map(|r| self.decide(*r)).collect()
-    }
-
-    /// Speculatively fills the cache with the certificate values the
-    /// batch is likely to need, in parallel. Values are pure functions of
-    /// their keys, so warming the cache can never change a decision.
-    fn prefetch(&mut self, reqs: &[Request]) {
-        if self.cache.cap == 0 || reqs.is_empty() {
-            return;
-        }
-        match self.backend {
-            CertBackend::EffectiveBandwidth => {
-                // g* is mix-independent: warm every class the batch names,
-                // then the certificates at those g*.
-                let mut classes: BTreeSet<usize> = BTreeSet::new();
-                for r in reqs {
-                    if r.class < self.classes.len() {
-                        classes.insert(r.class);
-                    }
-                }
-                let todo: Vec<usize> = classes
-                    .iter()
-                    .copied()
-                    .filter(|&j| {
-                        !self.cache.contains(&CertKey {
-                            class_fp: self.fps[j],
-                            arg_bits: self.rate.to_bits(),
-                            kind: KIND_GSTAR,
-                        })
-                    })
-                    .collect();
-                let computed = gps_par::Pool::from_env().map(&todo, |_, &j| self.compute_gstar(j));
-                for (&j, g) in todo.iter().zip(computed) {
-                    self.cache.insert(
-                        CertKey {
-                            class_fp: self.fps[j],
-                            arg_bits: self.rate.to_bits(),
-                            kind: KIND_GSTAR,
-                        },
-                        CachedValue::GStar(g),
-                    );
-                }
-                let cert_todo: Vec<(usize, f64)> = classes
-                    .iter()
-                    .filter_map(|&j| {
-                        let g = self.gstar(j);
-                        (g.is_finite()
-                            && !self.cache.contains(&CertKey {
-                                class_fp: self.fps[j],
-                                arg_bits: g.to_bits(),
-                                kind: KIND_CERT,
-                            }))
-                        .then_some((j, g))
-                    })
-                    .collect();
-                self.prefetch_certs(&cert_todo);
-            }
-            CertBackend::Rpps => {
-                // Walk the optimistic all-admits path to enumerate the
-                // (class, g) pairs each step would examine.
-                let mut counts = self.counts.clone();
-                let mut wanted: BTreeMap<CertKey, (usize, f64)> = BTreeMap::new();
-                for r in reqs {
-                    if r.class >= self.classes.len() {
-                        continue;
-                    }
-                    match r.kind {
-                        RequestKind::Admit => counts[r.class] += 1,
-                        RequestKind::Depart => counts[r.class] = counts[r.class].saturating_sub(1),
-                    }
-                    let load = Self::load_of(&self.classes, &counts);
-                    if !(load > 0.0 && load < self.rate) {
-                        continue;
-                    }
-                    for (j, &n) in counts.iter().enumerate() {
-                        if n == 0 {
-                            continue;
-                        }
-                        let g = self.classes[j].source.rho * self.rate / load;
-                        let key = CertKey {
-                            class_fp: self.fps[j],
-                            arg_bits: g.to_bits(),
-                            kind: KIND_CERT,
-                        };
-                        if !self.cache.contains(&key) {
-                            wanted.insert(key, (j, g));
-                        }
-                    }
-                }
-                let todo: Vec<(usize, f64)> = wanted.values().copied().collect();
-                self.prefetch_certs(&todo);
-            }
-        }
-    }
-
-    /// Computes certificates for `(class, g)` pairs on the `gps_par` pool
-    /// and inserts them in deterministic (input) order.
-    fn prefetch_certs(&mut self, todo: &[(usize, f64)]) {
-        if todo.is_empty() {
-            return;
-        }
-        let computed =
-            gps_par::Pool::from_env().map(todo, |_, &(j, g)| self.compute_certificate(j, g, None));
-        for (&(j, g), value) in todo.iter().zip(computed) {
-            if let Some((bound, seed)) = value {
-                self.cache.insert(
-                    CertKey {
-                        class_fp: self.fps[j],
-                        arg_bits: g.to_bits(),
-                        kind: KIND_CERT,
-                    },
-                    CachedValue::Cert { bound, seed },
-                );
-            }
         }
     }
 
@@ -1239,32 +1103,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_stream() {
-        let reqs = workload(250);
-        for backend in [CertBackend::Rpps, CertBackend::EffectiveBandwidth] {
-            let mut batched = engine(backend, 1 << 16);
-            let mut sequential = engine(backend, 1 << 16);
-            let b: Vec<String> = batched
-                .admit_batch(&reqs)
-                .iter()
-                .map(Decision::line)
-                .collect();
-            let s: Vec<String> = reqs.iter().map(|r| sequential.decide(*r).line()).collect();
-            assert_eq!(b, s, "{backend:?}");
-        }
-    }
-
-    #[test]
     fn effective_bandwidth_cache_hits_dominate_warm_replay() {
         let reqs = workload(500);
         let mut e = engine(CertBackend::EffectiveBandwidth, 1 << 16);
-        e.admit_batch(&reqs);
+        for r in &reqs {
+            e.decide(*r);
+        }
         let warm = e.cache_stats();
         // After the first pass everything is memoized: replaying the same
         // load shape again must be essentially all hits.
         let before_hits = warm.hits;
         let before_misses = warm.misses;
-        e.admit_batch(&reqs);
+        for r in &reqs {
+            e.decide(*r);
+        }
         let after = e.cache_stats();
         assert!(after.hits > before_hits);
         assert_eq!(after.misses, before_misses, "warm replay recomputed");
@@ -1276,7 +1128,7 @@ mod tests {
         for r in workload(200) {
             e.decide(r);
         }
-        assert!(e.cache_len() <= 4);
+        assert!(e.cache.len() <= 4);
         assert!(e.cache_stats().evictions > 0);
     }
 

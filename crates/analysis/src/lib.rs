@@ -32,7 +32,7 @@
 //! * [`admission`] — admission-control utilities built on the bounds (the
 //!   paper's motivating application);
 //! * [`engine`] — the online admission-control service: memoized bound
-//!   certificates, warm-started searches, and batched decisions.
+//!   certificates and warm-started searches.
 
 pub mod admission;
 pub mod class_based;
@@ -45,9 +45,7 @@ pub mod rpps;
 pub mod single_node;
 pub mod theta_opt;
 
-pub use admission::{
-    max_rpps_sessions, max_rpps_sessions_from, rpps_admits, QosTarget, RPPS_SESSION_CAP,
-};
+pub use admission::{max_rpps_sessions, QosTarget};
 pub use class_based::{ClassBasedGps, TrafficClass};
 pub use engine::{
     AdmissionEngine, CacheStats, CertBackend, ClassSpec, Decision, EngineError, EngineStats,
@@ -55,7 +53,6 @@ pub use engine::{
 };
 pub use network::{CrstAnalysis, NetworkSession};
 pub use partition_bounds::{theorem10, Theorem11};
-pub use rho_selection::{best_rho_for_delay, max_sessions_optimized_rho, rho_tradeoff, RhoPoint};
+pub use rho_selection::{max_sessions_optimized_rho, rho_tradeoff, RhoPoint};
 pub use rpps::RppsNetworkBounds;
 pub use single_node::{SessionBounds, Theorem7, Theorem8};
-pub use theta_opt::{optimize_tail, try_optimize_tail, try_optimize_tail_seeded, THETA_PROBES};

@@ -89,13 +89,6 @@ impl NetworkAnalysisResult {
         e2e_delay(&bounds, d)
     }
 
-    /// A bound on the total network backlog tail of session `i` at `q`:
-    /// `Q_i^net = Σ_m Q_i^m`, combined with the same machinery as delays.
-    pub fn network_backlog_tail(&self, i: usize, q: f64) -> f64 {
-        let bounds: Vec<TailBound> = self.per_node[i].iter().map(|(_, b)| b.backlog).collect();
-        e2e_delay(&bounds, q)
-    }
-
     /// The session's output E.B.B. characterization as it leaves the
     /// network.
     pub fn egress(&self, i: usize) -> EbbProcess {
@@ -333,7 +326,6 @@ mod tests {
             }
             // Theorem 13 (stability): e2e tail vanishes for large d.
             assert!(res.e2e_delay_tail(i, 500.0) < 1e-6, "session {i}");
-            assert!(res.network_backlog_tail(i, 500.0) < 1e-6);
             // Output keeps the input rate.
             assert_eq!(res.egress(i).rho, fig2_sessions()[i].source.rho);
         }

@@ -13,7 +13,7 @@
 //!   puts session `i` at position `k` of a feasible ordering of
 //!   aggregates, and Theorem 7 yields Eq. 54. The same object evaluates
 //!   the Hölder variant (Theorem 12, Eq. 59) via
-//!   [`Theorem11::bounds_at_dependent`].
+//!   `Theorem11::bounds_at_dependent`.
 //!
 //! Under RPPS every session is in `H_1` (all ratios `ρ_i/φ_i` equal), so
 //! [`theorem10`] covers everyone — the fact Theorem 15 lifts to networks.
@@ -149,7 +149,7 @@ impl Theorem11 {
     /// bound with the decay-equalizing exponents:
     /// `(Σ_j w_j/α_j)^{-1}`. Coincides with [`Self::theta_sup`] for `H_1`
     /// sessions (single term, no Hölder step).
-    pub fn theta_sup_dependent(&self, i: usize) -> f64 {
+    pub(crate) fn theta_sup_dependent(&self, i: usize) -> f64 {
         let terms = self.terms_for(i);
         match self.equalizing_exponents(i) {
             Some(p) => gps_ebb::combine::holder_theta_sup(&terms, p.as_slice()),
@@ -165,7 +165,7 @@ impl Theorem11 {
 
     /// Theorem-12 (Hölder / dependent-sources) bounds at a fixed `θ`.
     /// `exponents = None` uses the decay-equalizing allocation.
-    pub fn bounds_at_dependent(
+    pub(crate) fn bounds_at_dependent(
         &self,
         i: usize,
         theta: f64,
@@ -184,7 +184,7 @@ impl Theorem11 {
 
     /// Decay-equalizing Hölder exponents for session `i` (`None` when the
     /// session is in `H_1` and needs no Hölder step).
-    pub fn equalizing_exponents(&self, i: usize) -> Option<HolderExponents> {
+    pub(crate) fn equalizing_exponents(&self, i: usize) -> Option<HolderExponents> {
         let terms = self.terms_for(i);
         if terms.len() < 2 {
             return None;

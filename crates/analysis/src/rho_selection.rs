@@ -8,7 +8,7 @@
 //! optimizes it for a concrete objective:
 //!
 //! * [`rho_tradeoff`] — the raw `(ρ, Λ(ρ), α(ρ))` curve;
-//! * [`best_rho_for_delay`] — the ρ minimizing the Theorem-10 delay-bound
+//! * `best_rho_for_delay` — the ρ minimizing the Theorem-10 delay-bound
 //!   tail at a target `(g, d)` (service rate fixed);
 //! * [`max_sessions_optimized_rho`] — RPPS admission where *each
 //!   candidate session count re-optimizes ρ*, which is the fair way to
@@ -55,7 +55,7 @@ pub fn rho_tradeoff(src: &MarkovSource, points: usize) -> Vec<RhoPoint> {
 /// `ρ < g` qualify (the bound needs spare capacity). Returns the winning
 /// characterization and its tail value, or `None` if no candidate
 /// qualifies.
-pub fn best_rho_for_delay(
+pub(crate) fn best_rho_for_delay(
     src: &MarkovSource,
     g: f64,
     d: f64,

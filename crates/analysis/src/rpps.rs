@@ -124,17 +124,6 @@ impl RppsNetworkBounds {
         gps_par::Pool::from_env().map(&idx, |_, &i| self.paper_fig3_bounds(i))
     }
 
-    /// [`backlog_bound`](Self::backlog_bound) and
-    /// [`delay_bound`](Self::delay_bound) for every session under `model`
-    /// (the continuous case runs one ξ evaluation per session), fanned out
-    /// over the `gps_par` pool; results in session order.
-    pub fn bounds_all(&self, model: TimeModel) -> Vec<(TailBound, TailBound)> {
-        let idx: Vec<usize> = (0..self.sessions.len()).collect();
-        gps_par::Pool::from_env().map(&idx, |_, &i| {
-            (self.backlog_bound(i, model), self.delay_bound(i, model))
-        })
-    }
-
     /// Remark 3 / Figure 4: plug in any sharper bound on the rate-
     /// `g_i^{net}` single queue `δ_i(t)` (e.g. the LNT94 martingale bound
     /// for Markov-modulated sources). Returns `(backlog, delay)` bounds.
@@ -234,13 +223,9 @@ mod tests {
         let (net, sessions) = set1();
         let b = RppsNetworkBounds::new(&net, sessions).unwrap();
         let fig3 = b.paper_fig3_bounds_all();
-        let cont = b.bounds_all(TimeModel::Continuous { xi: 1.0 });
         assert_eq!(fig3.len(), b.len());
-        for i in 0..b.len() {
-            assert_eq!(fig3[i], b.paper_fig3_bounds(i), "session {i}");
-            let model = TimeModel::Continuous { xi: 1.0 };
-            assert_eq!(cont[i].0, b.backlog_bound(i, model), "session {i}");
-            assert_eq!(cont[i].1, b.delay_bound(i, model), "session {i}");
+        for (i, got) in fig3.iter().enumerate() {
+            assert_eq!(*got, b.paper_fig3_bounds(i), "session {i}");
         }
     }
 

@@ -137,7 +137,7 @@ impl Theorem7 {
     /// Sets up the analysis with explicit dedicated rates. Returns `None`
     /// when some `r_i <= ρ_i` or the rates overcommit the server (no
     /// feasible ordering exists).
-    pub fn with_rates(
+    pub(crate) fn with_rates(
         sessions: Vec<EbbProcess>,
         assignment: GpsAssignment,
         rates: Vec<f64>,
@@ -215,13 +215,6 @@ impl Theorem7 {
         let idx: Vec<usize> = (0..self.num_sessions()).collect();
         gps_par::Pool::from_env().map(&idx, |_, &i| self.best_backlog(i, q))
     }
-
-    /// [`best_delay`](Self::best_delay) for every session, fanned out over
-    /// the `gps_par` pool; results in session order.
-    pub fn best_delay_all(&self, d: f64) -> Vec<Option<TailBound>> {
-        let idx: Vec<usize> = (0..self.num_sessions()).collect();
-        gps_par::Pool::from_env().map(&idx, |_, &i| self.best_delay(i, d))
-    }
 }
 
 /// Theorem 8: E.B.B. sources **without an independence assumption**, via
@@ -237,7 +230,7 @@ pub struct Theorem8 {
 
 impl Theorem8 {
     /// Analogous to [`Theorem7::with_rates`].
-    pub fn with_rates(
+    pub(crate) fn with_rates(
         sessions: Vec<EbbProcess>,
         assignment: GpsAssignment,
         rates: Vec<f64>,
@@ -266,7 +259,7 @@ impl Theorem8 {
 
     /// Decay-maximizing Hölder exponents for session `i` (equalizing
     /// `α_j/(p_j w_j)`, the paper's post-Theorem-8 recommendation).
-    pub fn equalizing_exponents(&self, i: usize) -> Option<HolderExponents> {
+    pub(crate) fn equalizing_exponents(&self, i: usize) -> Option<HolderExponents> {
         let terms = self.inner.terms_for(i);
         if terms.len() < 2 {
             return None; // first-in-ordering session: no Hölder step needed
@@ -342,13 +335,6 @@ impl Theorem8 {
         let idx: Vec<usize> = (0..self.num_sessions()).collect();
         gps_par::Pool::from_env().map(&idx, |_, &i| self.best_backlog(i, q))
     }
-
-    /// [`best_delay`](Self::best_delay) for every session, fanned out over
-    /// the `gps_par` pool; results in session order.
-    pub fn best_delay_all(&self, d: f64) -> Vec<Option<TailBound>> {
-        let idx: Vec<usize> = (0..self.num_sessions()).collect();
-        gps_par::Pool::from_env().map(&idx, |_, &i| self.best_delay(i, d))
-    }
 }
 
 #[cfg(test)]
@@ -410,20 +396,16 @@ mod tests {
         // exactly the per-session call, in session order.
         let (sessions, assignment) = fixture();
         let t7 = Theorem7::new(sessions.clone(), assignment.clone(), TimeModel::Discrete).unwrap();
-        let (q, d) = (12.0, 30.0);
+        let q = 12.0;
         assert_eq!(t7.num_sessions(), 2);
         let backlogs = t7.best_backlog_all(q);
-        let delays = t7.best_delay_all(d);
-        for i in 0..t7.num_sessions() {
-            assert_eq!(backlogs[i], t7.best_backlog(i, q), "session {i}");
-            assert_eq!(delays[i], t7.best_delay(i, d), "session {i}");
+        for (i, got) in backlogs.iter().enumerate() {
+            assert_eq!(*got, t7.best_backlog(i, q), "session {i}");
         }
         let t8 = Theorem8::new(sessions, assignment, TimeModel::Discrete).unwrap();
         let backlogs8 = t8.best_backlog_all(q);
-        let delays8 = t8.best_delay_all(d);
-        for i in 0..t8.num_sessions() {
-            assert_eq!(backlogs8[i], t8.best_backlog(i, q), "session {i}");
-            assert_eq!(delays8[i], t8.best_delay(i, d), "session {i}");
+        for (i, got) in backlogs8.iter().enumerate() {
+            assert_eq!(*got, t8.best_backlog(i, q), "session {i}");
         }
     }
 

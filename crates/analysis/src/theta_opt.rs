@@ -11,7 +11,7 @@ use gps_ebb::numeric::{grid_argmin, try_golden_min, NumericError};
 use gps_ebb::TailBound;
 
 /// Number of uniform probe cells used to seed the golden refinement.
-pub const THETA_PROBES: usize = 32;
+pub(crate) const THETA_PROBES: usize = 32;
 
 /// Finds the `θ ∈ (0, theta_sup)` whose bound is tightest at threshold
 /// `x`, i.e. minimizes `log_tail(x)`. `family(θ)` may return `None` for
@@ -20,7 +20,7 @@ pub const THETA_PROBES: usize = 32;
 /// Returns the best bound found, or `None` if the family is empty on the
 /// probed interval. Panics on out-of-domain `theta_sup`/`x`; see
 /// [`try_optimize_tail`] for the fully typed variant.
-pub fn optimize_tail(
+pub(crate) fn optimize_tail(
     theta_sup: f64,
     x: f64,
     family: impl Fn(f64) -> Option<TailBound>,
@@ -36,7 +36,7 @@ pub fn optimize_tail(
 /// [`NumericError`]: bad `theta_sup`/`x` become `InvalidDomain` instead of
 /// a panic, and a family that is infeasible at every probe becomes
 /// `EmptyFamily` instead of `None`.
-pub fn try_optimize_tail(
+pub(crate) fn try_optimize_tail(
     theta_sup: f64,
     x: f64,
     family: impl Fn(f64) -> Option<TailBound>,
@@ -58,7 +58,7 @@ pub fn try_optimize_tail(
 /// bit-identical bounds; the admission engine's determinism tests pin
 /// this.
 #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(v > 0.0)` also rejects NaN
-pub fn try_optimize_tail_seeded(
+pub(crate) fn try_optimize_tail_seeded(
     theta_sup: f64,
     x: f64,
     hint: Option<usize>,

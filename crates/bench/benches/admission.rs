@@ -129,12 +129,6 @@ fn main() {
         "warm replay took cache misses"
     );
 
-    // Batched decisions through the gps_par pool (same stream, warm).
-    h.bench_elems("admit_batch/warm", DECISIONS as u64, || {
-        let mut e = warm_template.clone();
-        black_box(e.admit_batch(&stream).len())
-    });
-
     // HTTP path: the same warm engine behind the exporter front end with
     // request telemetry armed — socket, head parse, dispatch, engine
     // decision, and counters + HDR latency per decision, on keep-alive

@@ -87,7 +87,7 @@ impl TimeModel {
 
     /// True when the Lemma 5/6 prefactor should include the continuous-time
     /// `e^{θρξ}` overshoot factor.
-    pub fn pays_overshoot(&self) -> bool {
+    pub(crate) fn pays_overshoot(&self) -> bool {
         matches!(self, TimeModel::Continuous { .. })
     }
 }

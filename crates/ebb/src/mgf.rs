@@ -129,19 +129,6 @@ impl AggregateArrival {
         }
     }
 
-    /// Aggregate of heterogeneous classes, each with a multiplicity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors are empty, differ in length, or any count is
-    /// zero.
-    pub fn with_counts(parts: Vec<EbbProcess>, counts: Vec<u64>) -> Self {
-        assert!(!parts.is_empty(), "aggregate needs at least one component");
-        assert_eq!(parts.len(), counts.len(), "one count per component");
-        assert!(counts.iter().all(|&c| c >= 1), "counts must be positive");
-        Self { parts, counts }
-    }
-
     /// Component flows (each possibly carrying a multiplicity; see
     /// [`counts`](Self::counts)).
     pub fn parts(&self) -> &[EbbProcess] {
@@ -151,11 +138,6 @@ impl AggregateArrival {
     /// Multiplicity of each component flow.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Total number of flows in the aggregate, multiplicities included.
-    pub fn num_flows(&self) -> u64 {
-        self.counts.iter().sum()
     }
 
     /// As an E.B.B. process at a chosen `θ`: `(ρ̃, e^{θσ̃(θ)}, θ)` —
@@ -307,20 +289,8 @@ mod tests {
         assert!((compact.rho() - explicit.rho()).abs() < 1e-9);
         assert!((compact.sigma_hat(th) - explicit.sigma_hat(th)).abs() < 1e-7);
         assert_eq!(compact.theta_sup(), explicit.theta_sup());
-        assert_eq!(compact.num_flows(), n);
+        assert_eq!(compact.counts().iter().sum::<u64>(), n);
         assert_eq!(compact.parts().len(), 1);
-    }
-
-    #[test]
-    fn with_counts_mixes_multiplicities() {
-        let a = EbbProcess::new(0.1, 1.0, 2.0);
-        let b = EbbProcess::new(0.05, 0.5, 3.0);
-        let agg = AggregateArrival::with_counts(vec![a, b], vec![3, 2]);
-        assert!((agg.rho() - (0.3 + 0.1)).abs() < 1e-15);
-        assert_eq!(agg.num_flows(), 5);
-        let th = 0.7;
-        let want = 3.0 * sigma_hat(1.0, 2.0, th) + 2.0 * sigma_hat(0.5, 3.0, th);
-        assert!((agg.sigma_hat(th) - want).abs() < 1e-12);
     }
 
     #[test]

@@ -6,9 +6,6 @@
 //! (prefactors are log-convex in `θ` on their domain), so robust bracketed
 //! methods beat anything fancier.
 
-/// Relative tolerance used by default in the solvers.
-pub const DEFAULT_TOL: f64 = 1e-12;
-
 /// Typed failures of the numeric helpers (and of the θ-optimizers built
 /// on top of them in `gps_analysis`). These replace hot-path panics so a
 /// supervised campaign can report a numeric problem as a recoverable,
@@ -74,14 +71,14 @@ impl std::error::Error for NumericError {}
 /// Requires `f(lo)` and `f(hi)` to have opposite signs (a sign change is the
 /// caller's guarantee that a root is bracketed). Returns `None` if the
 /// bracket is invalid or either endpoint evaluates non-finite; see
-/// [`try_bisect`] for the variant that reports *why*.
+/// `try_bisect` for the variant that reports *why*.
 pub fn bisect(lo: f64, hi: f64, tol: f64, f: impl Fn(f64) -> f64) -> Option<f64> {
     try_bisect(lo, hi, tol, f).ok()
 }
 
 /// [`bisect`] with a typed reason for every failure mode.
 #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(lo < hi)` also rejects NaN
-pub fn try_bisect(
+pub(crate) fn try_bisect(
     mut lo: f64,
     mut hi: f64,
     tol: f64,
@@ -255,7 +252,7 @@ pub fn grid_argmin(
 ///
 /// For small `y`, `1 - e^{-y} ≈ y`, and `ln_1m_exp` uses `ln(-expm1(-y))`
 /// which is exact in that regime.
-pub fn ln_1m_exp_neg(y: f64) -> f64 {
+pub(crate) fn ln_1m_exp_neg(y: f64) -> f64 {
     debug_assert!(y > 0.0, "ln(1-e^-y) needs y>0, got {y}");
     if y > 0.693 {
         // e^{-y} < 1/2: direct form is stable.
@@ -263,11 +260,6 @@ pub fn ln_1m_exp_neg(y: f64) -> f64 {
     } else {
         (-(-y).exp_m1()).ln()
     }
-}
-
-/// `ln(1 + x)` convenience wrapper (`x > -1`).
-pub fn ln_1p(x: f64) -> f64 {
-    x.ln_1p()
 }
 
 #[cfg(test)]

@@ -125,11 +125,6 @@ impl EbbProcess {
         TailBound::new(self.lambda, self.alpha).tail(x)
     }
 
-    /// The bound as a [`TailBound`] over the envelope excess.
-    pub fn excess_bound(&self) -> TailBound {
-        TailBound::new(self.lambda, self.alpha)
-    }
-
     /// A deterministic (σ,ρ) linear-bounded-arrival process `A(τ,t) <=
     /// σ + ρ(t-τ)` is E.B.B. with any decay: this helper embeds it with the
     /// given `alpha` and the tight prefactor `Λ = e^{ασ}` (so that
@@ -144,22 +139,6 @@ impl EbbProcess {
     /// server of rate `r` (paper: `Σ ρ_i < r`).
     pub fn stable(sessions: &[EbbProcess], r: f64) -> bool {
         sessions.iter().map(|s| s.rho).sum::<f64>() < r
-    }
-
-    /// Rescales time units by factor `c > 0` (new unit = `c` old units):
-    /// rates scale by `c`, the dimensionless tail parameters are unchanged
-    /// per *data* amount, i.e. `ρ' = ρ·c`, `Λ' = Λ`, `α' = α` (α is per unit
-    /// data, not per unit time).
-    pub fn scale_time(&self, c: f64) -> Self {
-        assert!(c > 0.0);
-        Self::new(self.rho * c, self.lambda, self.alpha)
-    }
-
-    /// Rescales data units by factor `c > 0` (new unit = `c` old units):
-    /// `ρ' = ρ/c`, `α' = α·c`, `Λ' = Λ`.
-    pub fn scale_data(&self, c: f64) -> Self {
-        assert!(c > 0.0);
-        Self::new(self.rho / c, self.lambda, self.alpha * c)
     }
 }
 
@@ -227,16 +206,6 @@ mod tests {
         // Λe^{-αx} = e^{α(σ-x)} >= 1 iff x <= σ.
         assert_eq!(e.excess_tail(1.9), 1.0);
         assert!(e.excess_tail(2.1) < 1.0);
-    }
-
-    #[test]
-    fn unit_scaling_roundtrips() {
-        let e = EbbProcess::new(0.25, 0.92, 1.76);
-        let t = e.scale_time(2.0).scale_time(0.5);
-        assert!((t.rho - e.rho).abs() < 1e-15);
-        let d = e.scale_data(8.0).scale_data(0.125);
-        assert!((d.rho - e.rho).abs() < 1e-12);
-        assert!((d.alpha - e.alpha).abs() < 1e-12);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! Theorem 11's proof uses a *session-targeted* split — concentrating the
 //! slack budget `g_i - ρ_i` of a target session across itself and the
 //! aggregated lower classes, `ε_i = ψ_i ε̃_1 = … = (g_i - ρ_i)/k` — which
-//! is provided by [`theorem11_epsilons`].
+//! `gps_analysis::Theorem11` computes inline.
 
 /// How the capacity slack is divided among the sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,26 +71,6 @@ impl RateAllocation {
         };
         Some(rhos.iter().zip(&eps).map(|(&r, &e)| r + e).collect())
     }
-}
-
-/// The Theorem-11 slack split for a target session in partition class
-/// `H_k` (1-based `k = class_index + 1`): the session's own ε and the
-/// *aggregate* ε̃ of each lower class all equal `(g_i - ρ_i)/k` after
-/// weighting — concretely `ε_i = (g−ρ)/k` and `ε̃_l = (g−ρ)/(k·ψ_i)` for
-/// each of the `k-1` lower classes, where `ψ_i` is the session's share
-/// among the non-lower sessions.
-///
-/// Returns `(eps_own, eps_aggregate_per_lower_class)`.
-///
-/// # Panics
-///
-/// Panics unless `g > rho`, `psi ∈ (0, 1]`, `k >= 1`.
-pub fn theorem11_epsilons(g: f64, rho: f64, psi: f64, k: usize) -> (f64, f64) {
-    assert!(g > rho, "guaranteed rate must exceed rho");
-    assert!(psi > 0.0 && psi <= 1.0, "psi must be in (0,1]");
-    assert!(k >= 1);
-    let share = (g - rho) / k as f64;
-    (share, share / psi)
 }
 
 #[cfg(test)]
@@ -151,27 +131,5 @@ mod tests {
         assert!(RateAllocation::Uniform
             .dedicated_rates(&[0.5, 0.5], &[1.0, 1.0], 1.0, 1.0)
             .is_none());
-    }
-
-    #[test]
-    fn theorem11_split_sums_to_budget() {
-        // k = 3 (class H3, two lower classes): own ε + ψ·(2 aggregate ε̃)
-        // must equal g - ρ (Eq. 55 with equality).
-        let (g, rho, psi) = (0.3, 0.2, 0.25);
-        let (own, agg) = theorem11_epsilons(g, rho, psi, 3);
-        let total = own + psi * agg * 2.0;
-        assert!((total - (g - rho)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn theorem11_k1_degenerates() {
-        let (own, _) = theorem11_epsilons(0.3, 0.1, 1.0, 1);
-        assert!((own - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "guaranteed rate must exceed rho")]
-    fn theorem11_requires_headroom() {
-        let _ = theorem11_epsilons(0.2, 0.2, 0.5, 2);
     }
 }

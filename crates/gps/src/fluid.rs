@@ -137,24 +137,6 @@ pub fn water_fill_unchecked(
     }
 }
 
-/// Instantaneous fluid GPS *rate* allocation: backlogged sessions have
-/// unbounded demand; non-backlogged sessions demand exactly their current
-/// input rate. Returns per-session service rates.
-pub fn gps_rates(
-    backlogged: &[bool],
-    input_rates: &[f64],
-    phis: &[f64],
-    capacity: f64,
-) -> Vec<f64> {
-    assert_eq!(backlogged.len(), input_rates.len());
-    let demands: Vec<f64> = backlogged
-        .iter()
-        .zip(input_rates)
-        .map(|(&b, &r)| if b { f64::INFINITY } else { r })
-        .collect();
-    water_fill(&demands, phis, capacity)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,13 +233,6 @@ mod tests {
                 total(&a)
             );
         }
-    }
-
-    #[test]
-    fn gps_rates_wrapper() {
-        let rates = gps_rates(&[true, false], &[0.0, 0.2], &[1.0, 1.0], 1.0);
-        assert!((rates[1] - 0.2).abs() < 1e-12);
-        assert!((rates[0] - 0.8).abs() < 1e-12);
     }
 
     #[test]

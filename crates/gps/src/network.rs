@@ -39,7 +39,7 @@ impl SessionSpec {
     }
 
     /// The weight this session uses at `node`.
-    pub fn phi_at(&self, node: NodeId) -> Option<f64> {
+    pub(crate) fn phi_at(&self, node: NodeId) -> Option<f64> {
         self.position_of(node).map(|k| self.phis[k])
     }
 }

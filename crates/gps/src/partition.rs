@@ -111,7 +111,7 @@ impl FeasiblePartition {
     }
 
     /// Aggregate rate `ρ̃_k = Σ_{i∈H_k} ρ_i` of each class.
-    pub fn aggregate_rhos(&self, rhos: &[f64]) -> Vec<f64> {
+    pub(crate) fn aggregate_rhos(&self, rhos: &[f64]) -> Vec<f64> {
         self.classes
             .iter()
             .map(|c| c.iter().map(|&i| rhos[i]).sum())
@@ -119,7 +119,7 @@ impl FeasiblePartition {
     }
 
     /// Aggregate weight `φ̃_k = Σ_{i∈H_k} φ_i` of each class.
-    pub fn aggregate_phis(&self, assignment: &GpsAssignment) -> Vec<f64> {
+    pub(crate) fn aggregate_phis(&self, assignment: &GpsAssignment) -> Vec<f64> {
         self.classes
             .iter()
             .map(|c| c.iter().map(|&i| assignment.phi(i)).sum())

@@ -47,7 +47,7 @@
 //! the handler loops serving requests (pipelining included) until the
 //! client asks `Connection: close`, speaks HTTP/1.0, goes quiet past the
 //! read timeout, or exhausts the per-connection request budget
-//! ([`MAX_REQUESTS_PER_CONN`]). Shutdown stays exact: dropping (or
+//! (`MAX_REQUESTS_PER_CONN`). Shutdown stays exact: dropping (or
 //! [`Exporter::shutdown`]-ing) the handle sets a stop flag and makes a
 //! wake-up connection to unblock `accept`, then joins the accept thread
 //! (in-flight connection threads finish on their own, bounded by the
@@ -92,7 +92,7 @@ const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// Requests served on one persistent connection before the server closes
 /// it — bounds how long a keep-alive client can pin a `gps-obs-conn`
 /// thread (together with the 2 s read timeout per request).
-pub const MAX_REQUESTS_PER_CONN: usize = 100;
+pub(crate) const MAX_REQUESTS_PER_CONN: usize = 100;
 
 /// A response produced by a [`RequestHandler`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -928,7 +928,7 @@ impl ClientConfig {
 /// Requests ride one persistent connection (the server's keep-alive
 /// path), with `Content-Length` framing each response. The connection is
 /// opened lazily on the first request and rolled before it reaches the
-/// server's [`MAX_REQUESTS_PER_CONN`] budget. A transport error drops the
+/// server's `MAX_REQUESTS_PER_CONN` budget. A transport error drops the
 /// connection and, up to [`ClientConfig::retries`] times, retries on a
 /// fresh one after a linear backoff, incrementing the global
 /// `client.retries` counter each time; the last error is returned. A

@@ -31,11 +31,11 @@ use std::sync::{Arc, Mutex};
 
 /// Default sub-bucket precision: 32 unit buckets, then 16 sub-buckets
 /// per octave (≤ 6.25 % relative error).
-pub const DEFAULT_SUB_BITS: u32 = 5;
+pub(crate) const DEFAULT_SUB_BITS: u32 = 5;
 
 /// Default saturation point: 60 s in nanoseconds — far beyond any
 /// request the exporter's 2 s socket timeouts would let live.
-pub const DEFAULT_MAX_NS: u64 = 60_000_000_000;
+pub(crate) const DEFAULT_MAX_NS: u64 = 60_000_000_000;
 
 /// A log-bucketed histogram of `u64` observations (nanoseconds by
 /// convention).
@@ -59,7 +59,7 @@ impl Default for HdrHistogram {
 
 impl HdrHistogram {
     /// A histogram with the default precision and range
-    /// ([`DEFAULT_SUB_BITS`], [`DEFAULT_MAX_NS`]).
+    /// (`DEFAULT_SUB_BITS`, `DEFAULT_MAX_NS`).
     pub fn new() -> HdrHistogram {
         HdrHistogram::with_config(DEFAULT_SUB_BITS, DEFAULT_MAX_NS)
     }
@@ -92,21 +92,6 @@ impl HdrHistogram {
         h
     }
 
-    /// Sub-bucket precision bits of this configuration.
-    pub fn sub_bits(&self) -> u32 {
-        self.sub_bits
-    }
-
-    /// The saturation point: larger observations clamp here.
-    pub fn max_trackable(&self) -> u64 {
-        self.max_trackable
-    }
-
-    /// Number of buckets in this configuration.
-    pub fn bucket_count(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Total observations recorded (saturated ones included).
     pub fn total(&self) -> u64 {
         self.total
@@ -127,14 +112,14 @@ impl HdrHistogram {
         self.max_seen
     }
 
-    /// Observations clamped at [`max_trackable`](Self::max_trackable).
+    /// Observations clamped at the saturation point `max_trackable`.
     pub fn saturated(&self) -> u64 {
         self.saturated
     }
 
     /// The bucket index holding `v` (after clamping to the trackable
     /// range).
-    pub fn index_for(&self, v: u64) -> usize {
+    pub(crate) fn index_for(&self, v: u64) -> usize {
         let v = v.min(self.max_trackable);
         let sub = 1u64 << self.sub_bits;
         if v < sub {
@@ -148,7 +133,7 @@ impl HdrHistogram {
     }
 
     /// The half-open value range `[lo, hi)` bucket `i` covers.
-    pub fn bucket_range(&self, i: usize) -> (u64, u64) {
+    pub(crate) fn bucket_range(&self, i: usize) -> (u64, u64) {
         let sub = 1u64 << self.sub_bits;
         if (i as u64) < sub {
             return (i as u64, i as u64 + 1);
@@ -168,7 +153,7 @@ impl HdrHistogram {
     }
 
     /// Records `n` identical observations.
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -236,7 +221,7 @@ impl HdrHistogram {
 
     /// Non-empty buckets as `(le, count)` pairs, ascending, where `le`
     /// is the bucket's inclusive upper value bound.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.counts
             .iter()
             .enumerate()
@@ -351,7 +336,7 @@ impl HdrSnapshot {
 
     /// Cumulative `(le, count)` pairs over the non-empty buckets — the
     /// series the Prometheus exposition emits (plus `+Inf`).
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut cum = 0u64;
         self.buckets
             .iter()
@@ -380,7 +365,7 @@ mod tests {
     fn bucket_boundaries_are_deterministic_and_contiguous() {
         let h = HdrHistogram::with_config(5, 1 << 20);
         let mut expected_lo = 0u64;
-        for i in 0..h.bucket_count() {
+        for i in 0..h.counts.len() {
             let (lo, hi) = h.bucket_range(i);
             assert_eq!(lo, expected_lo, "bucket {i} not contiguous");
             assert!(hi > lo);
@@ -396,7 +381,7 @@ mod tests {
         }
         // Same config ⇒ same boundaries.
         let h2 = HdrHistogram::with_config(5, 1 << 20);
-        assert_eq!(h.bucket_count(), h2.bucket_count());
+        assert_eq!(h.counts.len(), h2.counts.len());
     }
 
     #[test]
@@ -458,7 +443,7 @@ mod tests {
         assert_eq!(h.sum(), 5 + 1000 + 1000);
         assert_eq!(
             h.value_at_quantile(1.0),
-            Some(h.bucket_range(h.bucket_count() - 1).1 - 1)
+            Some(h.bucket_range(h.counts.len() - 1).1 - 1)
         );
     }
 
@@ -536,10 +521,10 @@ mod tests {
     fn clear_keeps_configuration() {
         let mut h = HdrHistogram::with_config(4, 1 << 16);
         h.record(77);
-        let buckets = h.bucket_count();
+        let buckets = h.counts.len();
         h.clear();
         assert_eq!(h.total(), 0);
-        assert_eq!(h.bucket_count(), buckets);
+        assert_eq!(h.counts.len(), buckets);
         h.record(77); // still usable
         assert_eq!(h.total(), 1);
     }

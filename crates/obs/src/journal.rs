@@ -23,7 +23,7 @@
 //!    [`strip_timing_line`]) from two same-seed runs must yield
 //!    byte-identical journals.
 //!
-//! The sink is runtime-swappable ([`Journal::set_sink`] /
+//! The sink is runtime-swappable (`Journal::set_sink` /
 //! [`Journal::reconfigure`]): the process-global hub is frozen on first
 //! use, so benches and the exporter need to redirect an already-installed
 //! journal without rebuilding it.
@@ -70,15 +70,6 @@ impl Level {
             "warn" => Some(Level::Warn),
             "error" => Some(Level::Error),
             _ => None,
-        }
-    }
-
-    fn from_u8(v: u8) -> Level {
-        match v {
-            0 => Level::Debug,
-            1 => Level::Info,
-            2 => Level::Warn,
-            _ => Level::Error,
         }
     }
 }
@@ -250,14 +241,14 @@ impl Journal {
     }
 
     /// Builds a journal from a [`SinkKind`].
-    pub fn from_kind(kind: &SinkKind, min_level: Level) -> std::io::Result<Journal> {
+    pub(crate) fn from_kind(kind: &SinkKind, min_level: Level) -> std::io::Result<Journal> {
         Ok(Journal::new(Sink::open(kind)?, min_level))
     }
 
     /// Swaps the sink and minimum level in place. The sequence counter
     /// and epoch carry over, so a redirected journal keeps a single
     /// monotone event stream.
-    pub fn set_sink(&self, sink: Sink, min_level: Level) {
+    pub(crate) fn set_sink(&self, sink: Sink, min_level: Level) {
         let active = !sink.is_noop();
         let mut guard = self.sink.lock().expect("journal sink poisoned");
         *guard = sink;
@@ -278,11 +269,6 @@ impl Journal {
     #[inline]
     pub fn enabled(&self, level: Level) -> bool {
         self.active.load(Ordering::Relaxed) && level as u8 >= self.min_level.load(Ordering::Relaxed)
-    }
-
-    /// The current minimum level.
-    pub fn min_level(&self) -> Level {
-        Level::from_u8(self.min_level.load(Ordering::Relaxed))
     }
 
     /// Number of events written so far.
@@ -378,33 +364,6 @@ pub struct ParsedEvent {
     pub event: String,
     /// Field pairs in emission order.
     pub fields: Vec<(String, Json)>,
-}
-
-impl ParsedEvent {
-    /// Re-serializes without the timing field — two same-seed runs must
-    /// produce identical canonical lines.
-    pub fn canonical_line(&self) -> String {
-        let mut line = String::new();
-        line.push_str("{\"seq\":");
-        line.push_str(&self.seq.to_string());
-        line.push_str(",\"level\":\"");
-        line.push_str(self.level.as_str());
-        line.push_str("\",\"component\":");
-        write_escaped(&self.component, &mut line);
-        line.push_str(",\"event\":");
-        write_escaped(&self.event, &mut line);
-        line.push_str(",\"fields\":{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            write_escaped(k, &mut line);
-            line.push(':');
-            line.push_str(&v.to_compact());
-        }
-        line.push_str("}}");
-        line
-    }
 }
 
 /// Parses an NDJSON journal into events, verifying each line's shape.
@@ -550,15 +509,6 @@ mod tests {
         let (p1, p2) = (dir.join("a.ndjson"), dir.join("b.ndjson"));
         emit(&p1);
         emit(&p2);
-        let canon = |p: &Path| -> Vec<String> {
-            parse_ndjson(&std::fs::read_to_string(p).unwrap())
-                .unwrap()
-                .iter()
-                .map(|e| e.canonical_line())
-                .collect()
-        };
-        assert_eq!(canon(&p1), canon(&p2));
-        // And the raw stripped text is byte-identical too.
         let strip = |p: &Path| -> String {
             std::fs::read_to_string(p)
                 .unwrap()
@@ -575,7 +525,6 @@ mod tests {
     fn level_parse_roundtrip() {
         for l in [Level::Debug, Level::Info, Level::Warn, Level::Error] {
             assert_eq!(Level::parse(l.as_str()), Some(l));
-            assert_eq!(Level::from_u8(l as u8), l);
         }
         assert_eq!(Level::parse("trace"), None);
         assert!(Level::Debug < Level::Error);

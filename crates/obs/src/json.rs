@@ -16,7 +16,6 @@
 //!   RFC-8259 documents); it exists so journal round-trip tests and
 //!   downstream tooling need no external dependency either.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A JSON value.
@@ -118,11 +117,6 @@ impl Json {
             Json::F64(v) => Some(v),
             _ => None,
         }
-    }
-
-    /// Builds an object from a sorted map (deterministic key order).
-    pub fn from_sorted<V: Into<Json>>(map: BTreeMap<String, V>) -> Json {
-        Json::Obj(map.into_iter().map(|(k, v)| (k, v.into())).collect())
     }
 
     /// Serializes to compact single-line JSON.

@@ -105,7 +105,7 @@ pub struct SpanStats {
 
 impl SpanStats {
     /// Mean span duration in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
+    pub(crate) fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -174,7 +174,7 @@ impl Registry {
 
     /// Like [`hdr`](Self::hdr) with an explicit first-use constructor
     /// (later calls ignore the shape).
-    pub fn hdr_with(&self, name: &str, build: impl FnOnce() -> HdrHistogram) -> HdrHandle {
+    pub(crate) fn hdr_with(&self, name: &str, build: impl FnOnce() -> HdrHistogram) -> HdrHandle {
         let mut g = self.inner.lock().expect("registry poisoned");
         g.hdr
             .entry(name.to_string())

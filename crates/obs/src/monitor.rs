@@ -30,7 +30,7 @@
 use crate::metrics::{labeled, Registry};
 
 /// The tolerance environment knob.
-pub const VIOLATION_TOLERANCE_ENV: &str = "GPS_OBS_VIOL_TOL";
+pub(crate) const VIOLATION_TOLERANCE_ENV: &str = "GPS_OBS_VIOL_TOL";
 
 /// An exponential tail bound `x ↦ min(1, Λ·e^{-θx})`, the shape every
 /// E.B.B.-style theorem in this workspace produces.
@@ -111,18 +111,6 @@ impl BoundMonitor {
             tolerance,
             sigmas: 3.0,
         }
-    }
-
-    /// Overrides the multiplicative tolerance (ignoring the env knob).
-    pub fn with_tolerance(mut self, tolerance: f64) -> BoundMonitor {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Overrides the standard-error allowance multiplier.
-    pub fn with_sigmas(mut self, sigmas: f64) -> BoundMonitor {
-        self.sigmas = sigmas;
-        self
     }
 
     /// Number of sessions the monitor covers.
@@ -216,6 +204,14 @@ impl BoundMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BoundMonitor {
+        /// Pins the tolerance, whatever `GPS_OBS_VIOL_TOL` says.
+        fn with_tolerance(mut self, tolerance: f64) -> BoundMonitor {
+            self.tolerance = tolerance;
+            self
+        }
+    }
 
     fn series_from(points: &[(f64, f64)]) -> Vec<(f64, f64)> {
         points.to_vec()

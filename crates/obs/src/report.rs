@@ -169,7 +169,7 @@ pub struct Dashboard {
 }
 
 /// Escapes text for HTML body and attribute positions.
-pub fn html_escape(s: &str) -> String {
+pub(crate) fn html_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -235,7 +235,7 @@ fn fmt_coord(v: f64) -> String {
 }
 
 /// Renders one curve chart as an inline SVG string.
-pub fn svg_curve_chart(chart: &CurveChart) -> String {
+pub(crate) fn svg_curve_chart(chart: &CurveChart) -> String {
     let pts: Vec<(f64, f64)> = chart
         .series
         .iter()
@@ -525,7 +525,7 @@ pub fn timeline_from_chrome_trace(doc: &Json) -> Option<TraceTimeline> {
 /// name, start, duration), plus a busy-fraction utilization bar per lane
 /// on the right. Palette slots are assigned to slice names in order of
 /// first appearance (extras share the last slot; tooltips disambiguate).
-pub fn svg_trace_timeline(t: &TraceTimeline) -> String {
+pub(crate) fn svg_trace_timeline(t: &TraceTimeline) -> String {
     if t.lanes.is_empty() {
         return "<p class=\"empty\">no timeline data</p>".to_string();
     }

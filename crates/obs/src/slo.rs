@@ -23,13 +23,13 @@ use crate::journal::FieldValue;
 use crate::metrics::Registry;
 
 /// Default fast alerting window: 5 minutes.
-pub const DEFAULT_FAST_WINDOW_S: u64 = 300;
+pub(crate) const DEFAULT_FAST_WINDOW_S: u64 = 300;
 /// Default slow alerting window: 1 hour.
-pub const DEFAULT_SLOW_WINDOW_S: u64 = 3_600;
+pub(crate) const DEFAULT_SLOW_WINDOW_S: u64 = 3_600;
 /// Default fast-window burn-rate threshold (SRE workbook page-now tier).
-pub const DEFAULT_FAST_BURN: f64 = 14.4;
+pub(crate) const DEFAULT_FAST_BURN: f64 = 14.4;
 /// Default slow-window burn-rate threshold (SRE workbook ticket tier).
-pub const DEFAULT_SLOW_BURN: f64 = 6.0;
+pub(crate) const DEFAULT_SLOW_BURN: f64 = 6.0;
 
 /// A JSON string literal (quotes included) for `s`.
 fn quoted(s: &str) -> String {
@@ -91,25 +91,9 @@ impl SloSpec {
         self
     }
 
-    /// Overrides the alerting windows and burn thresholds.
-    pub fn with_windows(
-        mut self,
-        fast_window_s: u64,
-        fast_burn: f64,
-        slow_window_s: u64,
-        slow_burn: f64,
-    ) -> SloSpec {
-        assert!(fast_window_s > 0 && slow_window_s >= fast_window_s);
-        self.fast_window_s = fast_window_s;
-        self.slow_window_s = slow_window_s;
-        self.fast_burn = fast_burn;
-        self.slow_burn = slow_burn;
-        self
-    }
-
     /// Whether a request on `route` with `status` and `latency_ns`
     /// counts against this SLO, and if so whether it was good.
-    pub fn classify(&self, route: &str, status: u16, latency_ns: u64) -> Option<bool> {
+    pub(crate) fn classify(&self, route: &str, status: u16, latency_ns: u64) -> Option<bool> {
         if let Some(want) = &self.route {
             if want != route {
                 return None;
@@ -202,7 +186,7 @@ impl SloStatus {
 
 /// Rolling-window burn-rate tracker for one [`SloSpec`].
 #[derive(Debug)]
-pub struct SloTracker {
+pub(crate) struct SloTracker {
     spec: SloSpec,
     /// Per-second (good, bad) slots covering one slow window.
     ring: Vec<(u64, u64)>,
@@ -235,11 +219,6 @@ impl SloTracker {
             slow_breached: false,
             breaches: 0,
         }
-    }
-
-    /// The spec this tracker evaluates.
-    pub fn spec(&self) -> &SloSpec {
-        &self.spec
     }
 
     /// Records one classified request at absolute second `now_s`.
@@ -473,7 +452,13 @@ mod tests {
     use super::*;
 
     fn spec() -> SloSpec {
-        SloSpec::availability("avail", 0.9).with_windows(5, 2.0, 20, 1.5)
+        SloSpec {
+            fast_window_s: 5,
+            fast_burn: 2.0,
+            slow_window_s: 20,
+            slow_burn: 1.5,
+            ..SloSpec::availability("avail", 0.9)
+        }
     }
 
     #[test]

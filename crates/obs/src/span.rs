@@ -53,11 +53,6 @@ impl Span {
             }),
         }
     }
-
-    /// Whether this span is actually timing.
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
-    }
 }
 
 impl Drop for Span {
@@ -85,7 +80,7 @@ mod tests {
         let r = Registry::new();
         {
             let s = Span::enter(&r, "idle", false);
-            assert!(!s.is_active());
+            assert!(s.active.is_none());
         }
         assert!(r.snapshot().spans.is_empty());
     }

@@ -429,7 +429,7 @@ impl Drop for TraceScope {
 // Export
 
 /// Total events dropped so far because a ring buffer was full.
-pub fn dropped_total() -> u64 {
+pub(crate) fn dropped_total() -> u64 {
     collector()
         .buffers
         .lock()
@@ -624,7 +624,11 @@ mod tests {
     // behind one lock and restores Off on exit.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    struct ModeGuard;
+    /// Holds the lock until after `drop` has switched the recorder off
+    /// and cleared it, so the next test cannot start recording first.
+    struct ModeGuard {
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
     impl Drop for ModeGuard {
         fn drop(&mut self) {
             configure(TraceMode::Off);
@@ -632,11 +636,11 @@ mod tests {
         }
     }
 
-    fn exclusive(mode: TraceMode) -> (std::sync::MutexGuard<'static, ()>, ModeGuard) {
+    fn exclusive(mode: TraceMode) -> ModeGuard {
         let lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         configure(mode);
-        (lock, ModeGuard)
+        ModeGuard { _lock: lock }
     }
 
     #[test]

@@ -121,7 +121,7 @@ use std::time::Instant;
 /// A handful of chunks per worker keeps the pool load-balanced against
 /// uneven task costs while still amortizing the shared cursor fetch and
 /// the collection lock over many tasks.
-pub const DEFAULT_CHUNKS_PER_WORKER: usize = 4;
+pub(crate) const DEFAULT_CHUNKS_PER_WORKER: usize = 4;
 
 /// A 64-byte-aligned wrapper that gives a per-chunk fold accumulator its
 /// own cache line(s), so partial results accumulated by different workers

@@ -7,7 +7,6 @@
 //! scaling (heavier than declared). The experiments use this to show
 //! which violations the analytical bounds survive and which they do not.
 
-use gps_obs::metrics::{labeled, Counter, Registry};
 use gps_sources::SlotSource;
 use gps_stats::rng::{RngExt, Xoshiro256pp};
 
@@ -65,7 +64,7 @@ impl std::error::Error for FaultConfigError {}
 impl FaultConfig {
     /// Checks every field against its domain, reporting the first
     /// violation as a typed [`FaultConfigError`].
-    pub fn try_validate(&self) -> Result<(), FaultConfigError> {
+    pub(crate) fn try_validate(&self) -> Result<(), FaultConfigError> {
         if !(0.0..=1.0).contains(&self.drop_chance) {
             return Err(FaultConfigError::DropChance(self.drop_chance));
         }
@@ -98,27 +97,14 @@ pub struct FaultCounts {
     pub rescales: u64,
 }
 
-/// Metrics-registry counter handles mirroring [`FaultCounts`].
-#[derive(Debug, Clone)]
-struct FaultMetrics {
-    drops: Counter,
-    duplicates: Counter,
-    rescales: Counter,
-    slots: Counter,
-}
-
 /// A [`SlotSource`] wrapper injecting faults.
 ///
-/// Every injection is counted ([`FaultySource::counts`]); with
-/// [`FaultySource::with_metrics`] the tallies also stream into a
-/// [`Registry`] as `sim.faults.*{session=<i>}` counters, so a campaign's
-/// metrics snapshot records exactly how much the E.B.B. contract was bent.
+/// Every injection is counted ([`FaultySource::counts`]).
 #[derive(Debug, Clone)]
 pub struct FaultySource<S> {
     inner: S,
     config: FaultConfig,
     counts: FaultCounts,
-    metrics: Option<FaultMetrics>,
 }
 
 impl<S: SlotSource> FaultySource<S> {
@@ -138,29 +124,7 @@ impl<S: SlotSource> FaultySource<S> {
             inner,
             config,
             counts: FaultCounts::default(),
-            metrics: None,
         }
-    }
-
-    /// Wraps `inner` and additionally mirrors fault tallies into
-    /// `registry` under `sim.faults.{slots,drops,duplicates,rescales}`
-    /// labeled with `session`.
-    pub fn with_metrics(
-        inner: S,
-        config: FaultConfig,
-        registry: &Registry,
-        session: usize,
-    ) -> Self {
-        let mut s = Self::new(inner, config);
-        let sess = session.to_string();
-        let name = |what: &str| labeled(&format!("sim.faults.{what}"), &[("session", &sess)]);
-        s.metrics = Some(FaultMetrics {
-            drops: registry.counter(&name("drops")),
-            duplicates: registry.counter(&name("duplicates")),
-            rescales: registry.counter(&name("rescales")),
-            slots: registry.counter(&name("slots")),
-        });
-        s
     }
 
     /// The wrapped source.
@@ -186,28 +150,12 @@ impl<S: SlotSource> SlotSource for FaultySource<S> {
         if self.config.rate_scale != 1.0 {
             self.counts.rescales += 1;
         }
-        let mut dropped = false;
-        let mut duplicated = false;
         if Self::coin(rng, self.config.drop_chance) {
             x = 0.0;
-            dropped = true;
             self.counts.drops += 1;
         } else if Self::coin(rng, self.config.duplicate_chance) {
             x *= 2.0;
-            duplicated = true;
             self.counts.duplicates += 1;
-        }
-        if let Some(m) = &self.metrics {
-            m.slots.inc();
-            if self.config.rate_scale != 1.0 {
-                m.rescales.inc();
-            }
-            if dropped {
-                m.drops.inc();
-            }
-            if duplicated {
-                m.duplicates.inc();
-            }
         }
         x
     }
@@ -293,17 +241,14 @@ mod tests {
     }
 
     #[test]
-    fn counts_match_registry_on_seeded_run() {
-        let registry = Registry::new();
-        let mut f = FaultySource::with_metrics(
+    fn counts_are_exact_and_reproducible_on_seeded_run() {
+        let mut f = FaultySource::new(
             CbrSource::new(1.0),
             FaultConfig {
                 drop_chance: 0.2,
                 duplicate_chance: 0.1,
                 rate_scale: 1.5,
             },
-            &registry,
-            3,
         );
         let mut rng = Xoshiro256pp::seed_from_u64(0xFA17);
         let n = 10_000u64;
@@ -314,16 +259,6 @@ mod tests {
         assert_eq!(c.slots, n);
         assert_eq!(c.rescales, n);
         assert!(c.drops > 0 && c.duplicates > 0);
-        // Registry mirrors the internal tallies exactly.
-        let get = |what: &str| {
-            registry
-                .counter(&labeled(&format!("sim.faults.{what}"), &[("session", "3")]))
-                .get()
-        };
-        assert_eq!(get("slots"), c.slots);
-        assert_eq!(get("drops"), c.drops);
-        assert_eq!(get("duplicates"), c.duplicates);
-        assert_eq!(get("rescales"), c.rescales);
         // And the same seed reproduces the same tallies.
         let mut f2 = FaultySource::new(
             CbrSource::new(1.0),

@@ -55,11 +55,6 @@ impl RateFluidGps {
         self.queues[i]
     }
 
-    /// Current input rate of session `i`.
-    pub fn input_rate(&self, i: usize) -> f64 {
-        self.input_rates[i]
-    }
-
     /// Cumulative arrivals of session `i`.
     pub fn cumulative_arrivals(&self, i: usize) -> f64 {
         self.cum_arrivals[i]

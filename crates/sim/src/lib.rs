@@ -74,4 +74,4 @@ pub use runner::{
     SingleNodeRunConfig, SingleNodeRunReport,
 };
 pub use slotted::{SlotOutput, SlottedGps};
-pub use supervise::{CheckpointFile, PanicInjection, SimError, Supervisor};
+pub use supervise::{PanicInjection, SimError, Supervisor};

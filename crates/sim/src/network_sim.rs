@@ -17,7 +17,7 @@
 //!   the egress node.
 
 use crate::slotted::{SlotOutput, SlottedGps};
-use gps_core::{NetworkTopology, NodeId};
+use gps_core::NetworkTopology;
 use std::collections::VecDeque;
 
 /// Slotted simulation of a GPS network.
@@ -121,7 +121,7 @@ impl SlottedGpsNetwork {
     /// so campaign workers can reuse one network across replications.
     /// The flushed-slot watermark also resets: a reset simulator is
     /// observationally identical to a freshly constructed one, including
-    /// its future [`flush_slot_metrics`](Self::flush_slot_metrics)
+    /// its future `flush_slot_metrics`
     /// contributions.
     pub fn reset(&mut self) {
         for server in self.servers.iter_mut().flatten() {
@@ -142,7 +142,7 @@ impl SlottedGpsNetwork {
     /// True if this simulator was built over an identical topology, i.e.
     /// a [`reset`](Self::reset) makes it interchangeable with
     /// `SlottedGpsNetwork::new(topology.clone())`.
-    pub fn same_topology(&self, topology: &NetworkTopology) -> bool {
+    pub(crate) fn same_topology(&self, topology: &NetworkTopology) -> bool {
         self.topology == *topology
     }
 
@@ -151,7 +151,7 @@ impl SlottedGpsNetwork {
     /// runner calls this once per replication — batching the tally out of
     /// the per-slot hot path — so the counter's final value is the same
     /// as when every step incremented it individually.
-    pub fn flush_slot_metrics(&mut self) {
+    pub(crate) fn flush_slot_metrics(&mut self) {
         let pending = self.slot - self.slots_flushed;
         if pending > 0 {
             gps_obs::metrics().counter("sim.network.slots").add(pending);
@@ -161,20 +161,8 @@ impl SlottedGpsNetwork {
 
     /// Network backlog of session `i` right now: queued at nodes plus in
     /// flight.
-    pub fn network_backlog(&self, i: usize) -> f64 {
+    pub(crate) fn network_backlog(&self, i: usize) -> f64 {
         self.cum_entered[i] - self.cum_left[i]
-    }
-
-    /// Per-node backlog of session `i` (0 where the session does not
-    /// appear).
-    pub fn node_backlog(&self, i: usize, node: NodeId) -> f64 {
-        match (
-            &self.servers[node],
-            self.local_ids[node].iter().position(|&j| j == i),
-        ) {
-            (Some(srv), Some(local)) => srv.backlog(local),
-            _ => 0.0,
-        }
     }
 
     /// Advances one slot. `source_arrivals[i]` is the fresh traffic

@@ -27,7 +27,7 @@
 //!   replication of the shard is present before sealing it ([`CompleteReply::Incomplete`]
 //!   otherwise). The journal is append-only — `submit` appends each
 //!   accepted line after dedup — so sealing a [`CoordinatorConfig::durable`]
-//!   shard is one `fdatasync` ([`CheckpointFile`] says why that survives
+//!   shard is one `fdatasync` (`CheckpointFile` says why that survives
 //!   power loss).
 //!
 //! # Lease state machine
@@ -259,7 +259,7 @@ impl LeaseReply {
     }
 
     /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(text: &str) -> Option<LeaseReply> {
+    pub(crate) fn from_json(text: &str) -> Option<LeaseReply> {
         let doc = json::parse(text).ok()?;
         match doc.get("type")?.as_str()? {
             "wait" => Some(LeaseReply::Wait),
@@ -294,7 +294,7 @@ impl SubmitReply {
     }
 
     /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(text: &str) -> Option<SubmitReply> {
+    pub(crate) fn from_json(text: &str) -> Option<SubmitReply> {
         let doc = json::parse(text).ok()?;
         match doc.get("status")?.as_str()? {
             "accepted" => Some(SubmitReply::Accepted),
@@ -320,7 +320,7 @@ impl CompleteReply {
     }
 
     /// Inverse of [`to_json`](Self::to_json).
-    pub fn from_json(text: &str) -> Option<CompleteReply> {
+    pub(crate) fn from_json(text: &str) -> Option<CompleteReply> {
         let doc = json::parse(text).ok()?;
         match doc.get("type")?.as_str()? {
             "complete" => Some(CompleteReply::Complete),
@@ -644,7 +644,7 @@ impl Coordinator {
 
     /// All replication reports in ascending replication order — the
     /// merge input. Errors unless the campaign is complete.
-    pub fn completed_reports(&self) -> Result<Vec<SingleNodeRunReport>, SimError> {
+    pub(crate) fn completed_reports(&self) -> Result<Vec<SingleNodeRunReport>, SimError> {
         if self.completed.len() as u64 != self.spec.replications {
             return Err(SimError::Checkpoint(format!(
                 "campaign incomplete: {} of {} replications",
@@ -1345,8 +1345,8 @@ mod tests {
     #[test]
     fn journal_resume_restores_and_seals_shards() {
         let cfg = tiny_cfg();
-        let path = std::path::PathBuf::from(format!(
-            "results/_test_orchestrate_journal_{}.ndjson",
+        let path = std::env::temp_dir().join(format!(
+            "gps_test_orchestrate_journal_{}.ndjson",
             std::process::id()
         ));
         std::fs::remove_file(&path).ok();

@@ -143,7 +143,7 @@ impl PgpsServer {
 
     /// Computes the virtual finish time of every packet (arrivals need not
     /// be pre-sorted; they are processed chronologically).
-    pub fn virtual_finish_times(&self, packets: &[Packet]) -> Vec<f64> {
+    pub(crate) fn virtual_finish_times(&self, packets: &[Packet]) -> Vec<f64> {
         let n = self.phis.len();
         let mut order: Vec<usize> = (0..packets.len()).collect();
         order.sort_by(|&a, &b| {

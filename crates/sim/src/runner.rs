@@ -292,7 +292,7 @@ pub struct NetworkScratch {
 /// [`run_network`] over caller-owned scratch state and without the
 /// metrics fold; bit-identical to a fresh scratch (see
 /// [`run_single_node_core_scratch`]).
-pub fn run_network_core_scratch(
+pub(crate) fn run_network_core_scratch(
     scratch: &mut NetworkScratch,
     sources: &mut [Box<dyn SlotSource>],
     config: &NetworkRunConfig,
@@ -413,7 +413,7 @@ pub fn monitor_single_node_fold(
 /// network-backlog and end-to-end clearing-delay tails of a (merged)
 /// report against the monitor's curves. Returns the number of violating
 /// grid points.
-pub fn monitor_network_fold(
+pub(crate) fn monitor_network_fold(
     monitor: &BoundMonitor,
     registry: &Registry,
     merged: &NetworkRunReport,

@@ -105,7 +105,7 @@ impl SlottedGps {
     /// True if this server was built with exactly these weights (bit
     /// equality) and this capacity — i.e. a [`reset`](Self::reset) makes
     /// it interchangeable with `SlottedGps::new(phis.to_vec(), capacity)`.
-    pub fn same_shape(&self, phis: &[f64], capacity: f64) -> bool {
+    pub(crate) fn same_shape(&self, phis: &[f64], capacity: f64) -> bool {
         self.capacity.to_bits() == capacity.to_bits()
             && self.phis.len() == phis.len()
             && self

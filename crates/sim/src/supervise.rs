@@ -401,7 +401,7 @@ pub fn decode_checkpoint_line(
 /// tail can tear. Used for local campaign checkpoints and as the
 /// coordinator journal in [`crate::orchestrate`].
 #[derive(Debug)]
-pub struct CheckpointFile {
+pub(crate) struct CheckpointFile {
     path: PathBuf,
     file: Mutex<std::fs::File>,
     dir_synced: AtomicBool,

@@ -29,7 +29,6 @@
 
 pub mod cbr;
 pub mod ctmc;
-pub mod envelope;
 pub mod lnt94;
 pub mod markov;
 pub mod onoff;
@@ -38,11 +37,9 @@ pub mod shed;
 pub mod spectral;
 pub mod token_bucket;
 pub mod trace;
-pub mod video;
 
 pub use cbr::CbrSource;
 pub use ctmc::CtmcFluidSource;
-pub use envelope::{envelope_at, fcfs_admissible, max_fcfs_sessions, EnvelopePoint};
 pub use lnt94::{Lnt94Characterization, PrefactorKind};
 pub use markov::MarkovSource;
 pub use onoff::OnOffSource;
@@ -50,7 +47,6 @@ pub use poisson::PoissonSource;
 pub use shed::TokenShedSource;
 pub use token_bucket::{LeakyBucket, MarkedTrafficMeter};
 pub use trace::ArrivalTrace;
-pub use video::video_source;
 
 /// A discrete-time fluid traffic source: each call to [`SlotSource::next_slot`]
 /// returns the (nonnegative) amount of traffic generated in the next slot.

@@ -62,11 +62,6 @@ impl MarkovSource {
         }
     }
 
-    /// Number of states.
-    pub fn num_states(&self) -> usize {
-        self.rates.len()
-    }
-
     /// The transition matrix.
     pub fn transition(&self) -> &[Vec<f64>] {
         &self.transition
@@ -85,12 +80,6 @@ impl MarkovSource {
     /// Current simulation state index.
     pub fn state(&self) -> usize {
         self.state
-    }
-
-    /// Forces the simulation state (tests / custom starts).
-    pub fn set_state(&mut self, s: usize) {
-        assert!(s < self.num_states());
-        self.state = s;
     }
 
     /// Long-run mean rate `Σ_s π_s λ_s`.
@@ -163,7 +152,7 @@ impl SlotSource for MarkovSource {
 /// Stationary distribution by power iteration on `P^T`, with damping-free
 /// convergence check. Returns `None` if it fails to converge in 100k
 /// iterations (periodic or pathological chains).
-pub fn stationary_distribution(p: &[Vec<f64>]) -> Option<Vec<f64>> {
+pub(crate) fn stationary_distribution(p: &[Vec<f64>]) -> Option<Vec<f64>> {
     let n = p.len();
     let mut pi = vec![1.0 / n as f64; n];
     for _ in 0..100_000 {

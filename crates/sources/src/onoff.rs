@@ -82,40 +82,15 @@ impl OnOffSource {
         self.p * self.lambda / (self.p + self.q)
     }
 
-    /// Stationary probability of being on.
-    pub fn on_probability(&self) -> f64 {
-        self.p / (self.p + self.q)
-    }
-
     /// Lag-1 autocorrelation of the on/off state process, `1 - p - q`.
     /// Zero means i.i.d. slots; positive means bursty (sojourns cluster).
     pub fn burstiness(&self) -> f64 {
         1.0 - self.p - self.q
     }
 
-    /// Mean sojourn in the on state, `1/q` slots.
-    pub fn mean_on_duration(&self) -> f64 {
-        1.0 / self.q
-    }
-
-    /// Mean sojourn in the off state, `1/p` slots.
-    pub fn mean_off_duration(&self) -> f64 {
-        1.0 / self.p
-    }
-
     /// View as a general [`MarkovSource`] (for the spectral machinery).
     pub fn as_markov(&self) -> &MarkovSource {
         &self.inner
-    }
-
-    /// Converts into the general representation.
-    pub fn into_markov(self) -> MarkovSource {
-        self.inner
-    }
-
-    /// True while the simulated chain is in the on state.
-    pub fn is_on(&self) -> bool {
-        self.inner.state() == 1
     }
 }
 
@@ -157,14 +132,6 @@ mod tests {
         assert!(t[3].burstiness().abs() < 1e-12);
         assert!(t[1].burstiness() > 0.0);
         assert!(t[2].burstiness() > 0.0);
-    }
-
-    #[test]
-    fn sojourn_times() {
-        let s = OnOffSource::new(0.25, 0.5, 1.0);
-        assert_eq!(s.mean_off_duration(), 4.0);
-        assert_eq!(s.mean_on_duration(), 2.0);
-        assert!((s.on_probability() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use gps_stats::rng::Xoshiro256pp;
 /// for _ in 0..100 {
 ///     src.next_slot(&mut rng);
 /// }
-/// assert!((src.shed_fraction() - 0.75).abs() < 1e-9);
+/// assert!((src.shed() / src.offered() - 0.75).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TokenShedSource<S> {
@@ -76,15 +76,6 @@ impl<S: SlotSource> TokenShedSource<S> {
     /// Total traffic shed since the last reset.
     pub fn shed(&self) -> f64 {
         self.shed
-    }
-
-    /// Fraction of offered traffic shed so far (0 when nothing offered).
-    pub fn shed_fraction(&self) -> f64 {
-        if self.offered > 0.0 {
-            self.shed / self.offered
-        } else {
-            0.0
-        }
     }
 }
 
@@ -136,7 +127,6 @@ mod tests {
             assert_eq!(src.next_slot(&mut rng), 0.2);
         }
         assert_eq!(src.shed(), 0.0);
-        assert_eq!(src.shed_fraction(), 0.0);
     }
 
     #[test]
@@ -166,7 +156,6 @@ mod tests {
         assert!(src.shed() > 0.0);
         src.reset(&mut rng);
         assert_eq!((src.offered(), src.shed()), (0.0, 0.0));
-        assert_eq!(src.shed_fraction(), 0.0);
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl std::error::Error for ConvergenceError {}
 /// Returns `(z, h)` with `h` normalized so `max_s h_s = 1`. Panics if the
 /// iteration fails to converge in 100k steps (does not happen for the
 /// primitive matrices arising from aperiodic chains with `θ > 0`); see
-/// [`try_perron`] for the fallible variant supervised campaigns use.
+/// `try_perron` for the fallible variant supervised campaigns use.
 pub fn perron(m: &[Vec<f64>]) -> (f64, Vec<f64>) {
     try_perron(m).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -71,7 +71,7 @@ pub fn perron(m: &[Vec<f64>]) -> (f64, Vec<f64>) {
 /// [`perron`] returning a typed [`ConvergenceError`] instead of panicking
 /// when the power iteration fails to settle (e.g. for periodic matrices,
 /// whose iterates oscillate forever).
-pub fn try_perron(m: &[Vec<f64>]) -> Result<(f64, Vec<f64>), ConvergenceError> {
+pub(crate) fn try_perron(m: &[Vec<f64>]) -> Result<(f64, Vec<f64>), ConvergenceError> {
     let n = m.len();
     assert!(n > 0);
     let _span = gps_obs::span("sources/perron");
@@ -114,7 +114,7 @@ pub fn try_perron(m: &[Vec<f64>]) -> Result<(f64, Vec<f64>), ConvergenceError> {
 }
 
 /// The MGF matrix `M(θ) = P · diag(e^{θ λ_s})` of a source.
-pub fn mgf_matrix(src: &MarkovSource, theta: f64) -> Vec<Vec<f64>> {
+pub(crate) fn mgf_matrix(src: &MarkovSource, theta: f64) -> Vec<Vec<f64>> {
     let p = src.transition();
     let rates = src.rates();
     let n = rates.len();
@@ -129,7 +129,7 @@ pub fn mgf_matrix(src: &MarkovSource, theta: f64) -> Vec<Vec<f64>> {
 }
 
 /// Perron root `z(θ)` of the MGF matrix.
-pub fn spectral_radius(src: &MarkovSource, theta: f64) -> f64 {
+pub(crate) fn spectral_radius(src: &MarkovSource, theta: f64) -> f64 {
     perron(&mgf_matrix(src, theta)).0
 }
 

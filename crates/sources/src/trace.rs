@@ -66,13 +66,6 @@ impl ArrivalTrace {
         }
     }
 
-    /// `A(s, t]` — the amount arriving in slots `s+1 ..= t` (0-based slot
-    /// indices; `A(s,s] = 0`).
-    pub fn cumulative_between(&self, s: usize, t: usize) -> f64 {
-        assert!(s <= t && t <= self.slots.len());
-        self.slots[s..t].iter().sum()
-    }
-
     /// Per-end-point maximal envelope excess
     /// `E(t) = max_{s<=t} {A(s,t] - ρ(t-s)}` via the Lindley recursion —
     /// exactly the `δ(t)` of a fictitious rate-ρ server.
@@ -136,6 +129,16 @@ impl ArrivalTrace {
 mod tests {
     use super::*;
     use crate::onoff::OnOffSource;
+
+    impl ArrivalTrace {
+        /// `A(s, t]` — the amount arriving in slots `s+1 ..= t` (0-based
+        /// slot indices; `A(s,s] = 0`): the brute-force reference for
+        /// [`ArrivalTrace::excess_trace`].
+        fn cumulative_between(&self, s: usize, t: usize) -> f64 {
+            assert!(s <= t && t <= self.slots.len());
+            self.slots[s..t].iter().sum()
+        }
+    }
 
     #[test]
     fn cumulative_and_mean() {

@@ -44,11 +44,6 @@ impl BatchMeans {
         }
     }
 
-    /// Number of completed batches.
-    pub fn num_batches(&self) -> usize {
-        self.batch_averages.len()
-    }
-
     /// Grand mean over completed batches, or `None` if no batch completed.
     pub fn mean(&self) -> Option<f64> {
         if self.batch_averages.is_empty() {
@@ -59,7 +54,7 @@ impl BatchMeans {
 
     /// Confidence-interval half-width at the given `level` (supported:
     /// 0.90, 0.95, 0.99). Requires at least two completed batches.
-    pub fn half_width(&self, level: f64) -> Option<f64> {
+    pub(crate) fn half_width(&self, level: f64) -> Option<f64> {
         let k = self.batch_averages.len();
         if k < 2 {
             return None;
@@ -84,7 +79,7 @@ impl BatchMeans {
 /// Two-sided Student-t critical value for `df` degrees of freedom at the
 /// given confidence level. Tabulated for common levels; for df > 120 the
 /// normal limit is used. Returns `None` for unsupported levels.
-pub fn t_critical(df: usize, level: f64) -> Option<f64> {
+pub(crate) fn t_critical(df: usize, level: f64) -> Option<f64> {
     // Table rows: df 1..=30, then selected; columns 90/95/99%.
     const T95: [f64; 30] = [
         12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
@@ -151,7 +146,7 @@ mod tests {
         for i in 0..10 {
             bm.push(i as f64);
         }
-        assert_eq!(bm.num_batches(), 1);
+        assert_eq!(bm.batch_averages.len(), 1);
         assert!(bm.half_width(0.95).is_none());
         assert_eq!(bm.mean(), Some(4.5));
     }

@@ -15,7 +15,7 @@
 ///
 /// Samples are kept unsorted while collecting; the first evaluation sorts
 /// them lazily (interior mutability is deliberately avoided — evaluation
-/// takes `&mut self` or you call [`EmpiricalCcdf::freeze`] first).
+/// takes `&mut self` or you call `EmpiricalCcdf::freeze` first).
 #[derive(Debug, Clone, Default)]
 pub struct EmpiricalCcdf {
     samples: Vec<f64>,
@@ -54,7 +54,7 @@ impl EmpiricalCcdf {
     }
 
     /// Sorts the sample buffer so that subsequent queries are `O(log n)`.
-    pub fn freeze(&mut self) {
+    pub(crate) fn freeze(&mut self) {
         if !self.sorted {
             self.samples
                 .sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite samples"));
@@ -96,17 +96,6 @@ impl EmpiricalCcdf {
     /// the series plotted in the paper's Figures 3 and 4.
     pub fn series(&mut self, points: &[f64]) -> Vec<(f64, f64)> {
         points.iter().map(|&x| (x, self.tail(x))).collect()
-    }
-
-    /// A standard-error estimate for the tail probability at `x`:
-    /// `sqrt(p(1-p)/n)` (binomial; adequate for i.i.d.-ish batch summaries).
-    pub fn tail_stderr(&mut self, x: f64) -> f64 {
-        let n = self.samples.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let p = self.tail(x);
-        (p * (1.0 - p) / n as f64).sqrt()
     }
 
     /// Merges another CCDF's samples into this one.
@@ -421,17 +410,5 @@ mod tests {
         assert!(BinnedCcdf::from_parts(vec![0.0, 1.0], vec![6, 2], 5).is_none());
         // Empty grid.
         assert!(BinnedCcdf::from_parts(vec![], vec![], 0).is_none());
-    }
-
-    #[test]
-    fn stderr_reasonable() {
-        let mut c = EmpiricalCcdf::new();
-        for i in 0..10000 {
-            c.push(if i % 10 == 0 { 2.0 } else { 0.0 });
-        }
-        let p = c.tail(1.0);
-        assert!((p - 0.1).abs() < 1e-12);
-        let se = c.tail_stderr(1.0);
-        assert!((se - (0.1f64 * 0.9 / 10000.0).sqrt()).abs() < 1e-12);
     }
 }

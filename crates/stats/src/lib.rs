@@ -30,7 +30,6 @@
 //! CPU-bound Monte-Carlo loops, so the design follows the "simple and
 //! robust" smoltcp ethos rather than any async machinery.
 
-pub mod autocorr;
 pub mod batch;
 pub mod ccdf;
 pub mod fit;
@@ -39,7 +38,6 @@ pub mod prop;
 pub mod quantile;
 pub mod rng;
 
-pub use autocorr::{autocorrelation, geometric_decay};
 pub use batch::BatchMeans;
 pub use ccdf::{BinnedCcdf, EmpiricalCcdf};
 pub use fit::ExponentialTailFit;

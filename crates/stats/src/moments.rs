@@ -87,20 +87,6 @@ impl StreamingMoments {
         }
     }
 
-    /// Population variance (divisor `n`); `0.0` when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Smallest observation; `+inf` when empty.
     pub fn min(&self) -> f64 {
         self.min
@@ -173,7 +159,6 @@ mod tests {
         assert_eq!(m.count(), 0);
         assert_eq!(m.mean(), 0.0);
         assert_eq!(m.sample_variance(), 0.0);
-        assert_eq!(m.population_variance(), 0.0);
         assert!(m.min().is_infinite());
         assert!(m.max().is_infinite());
     }

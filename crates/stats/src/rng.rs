@@ -85,13 +85,6 @@ impl Xoshiro256pp {
         Self { s }
     }
 
-    /// Seeds from the full 256-bit state. At least one word must be
-    /// nonzero.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s != [0, 0, 0, 0], "xoshiro state must not be all zero");
-        Self { s }
-    }
-
     /// The 2¹²⁸-step jump, for partitioning one stream into
     /// non-overlapping substreams. ([`SeedSequence`] is the preferred way
     /// to get independent streams; this exists for completeness and for
@@ -280,7 +273,7 @@ impl SeedSequence {
     /// `label` namespaces component kinds ("source", "fault", ...); `index`
     /// distinguishes instances. The mapping is stationary: the same triple
     /// always yields the same seed.
-    pub fn child_seed(&self, label: &str, index: u64) -> u64 {
+    pub(crate) fn child_seed(&self, label: &str, index: u64) -> u64 {
         let mut h = self.master ^ 0x51_7C_C1_B7_27_22_0A_95;
         for &b in label.as_bytes() {
             h = splitmix64(h ^ b as u64);
@@ -295,7 +288,7 @@ impl SeedSequence {
 
     /// A sub-sequence rooted at the child seed — lets a component derive its
     /// own internal streams without colliding with siblings.
-    pub fn subsequence(&self, label: &str, index: u64) -> SeedSequence {
+    pub(crate) fn subsequence(&self, label: &str, index: u64) -> SeedSequence {
         SeedSequence::new(self.child_seed(label, index))
     }
 }
@@ -490,11 +483,5 @@ mod tests {
         let dynrng: &mut dyn RngCore = &mut rng;
         let x = dynrng.next_f64();
         assert!((0.0..1.0).contains(&x));
-    }
-
-    #[test]
-    #[should_panic(expected = "all zero")]
-    fn rejects_zero_state() {
-        let _ = Xoshiro256pp::from_state([0; 4]);
     }
 }

@@ -30,6 +30,17 @@ GPS_PAR_THREADS=4 GPS_PAR_CHUNK=1 cargo test --workspace -q --offline
 echo "==> cargo test --workspace -q --offline (GPS_PAR_THREADS/GPS_PAR_CHUNK unset)"
 env -u GPS_PAR_THREADS -u GPS_PAR_CHUNK cargo test --workspace -q --offline
 
+# The test matrix must leave the source tree as it found it: a test
+# that writes a cwd-relative file shows up here.
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    dirty="$(git status --porcelain)"
+    if [ -n "$dirty" ]; then
+        echo "verify.sh: the test matrix left files in the tree:" >&2
+        echo "$dirty" >&2
+        exit 1
+    fi
+fi
+
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

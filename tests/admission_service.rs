@@ -1,10 +1,7 @@
 //! Admission-control service properties: monotonicity of the admissible
 //! region (in session counts, server rate, and QoS looseness) and the
-//! engine's bit-identity contract — cached, warm-started, batched, and
-//! from-scratch decision streams must agree byte-for-byte. `verify.sh`
-//! runs this file under `GPS_PAR_THREADS` ∈ {1, 4, unset}, so the
-//! batched (`admit_batch`, prefetched through the `gps_par` pool)
-//! comparisons also pin schedule invariance.
+//! engine's bit-identity contract — cached, warm-started, and
+//! from-scratch decision streams must agree byte-for-byte.
 
 use gps_qos::prelude::*;
 use gps_stats::rng::{RngCore, Xoshiro256pp};
@@ -137,31 +134,22 @@ fn admission_is_monotone_in_qos_looseness() {
 }
 
 #[test]
-fn cached_and_uncached_admit_batch_are_byte_identical() {
-    // The cache stores exact values of pure functions, and batch
-    // prefetch (through the gps_par pool — schedule set by the verify.sh
-    // thread matrix) only precomputes them: decision bytes must not
-    // depend on either.
+fn cached_and_uncached_streams_are_byte_identical() {
+    // The cache stores exact values of pure functions: decision bytes
+    // must not depend on it.
     let stream = workload(600, 3, 23);
     for backend in [CertBackend::Rpps, CertBackend::EffectiveBandwidth] {
         let mut cached = engine(backend, 1.0);
         let mut uncached =
             AdmissionEngine::with_cache_cap(classes(), 1.0, TimeModel::Discrete, backend, 0)
                 .unwrap();
-        let batch: Vec<String> = cached
-            .admit_batch(&stream)
-            .iter()
-            .map(Decision::line)
-            .collect();
-        let sequential: Vec<String> = stream.iter().map(|r| uncached.decide(*r).line()).collect();
-        assert_eq!(
-            batch, sequential,
-            "{backend:?}: batch/cached vs sequential/uncached"
-        );
+        let with_cache: Vec<String> = stream.iter().map(|r| cached.decide(*r).line()).collect();
+        let without: Vec<String> = stream.iter().map(|r| uncached.decide(*r).line()).collect();
+        assert_eq!(with_cache, without, "{backend:?}: cached vs uncached");
         assert_eq!(uncached.cache_stats().hits, 0, "cap-0 cache must never hit");
         assert!(
             cached.cache_stats().hits > cached.cache_stats().misses,
-            "{backend:?}: replayed batch should be hit-dominated"
+            "{backend:?}: replayed stream should be hit-dominated"
         );
     }
 }
